@@ -220,14 +220,12 @@ class TestEscapeHotPath:
 
 
 class TestBinaryHotPath:
-    """Guards for the binary node-table hot paths (PR 9).
+    """Guard for the binary node-table hot path.
 
-    The engine answers structural tests with prefix-label comparisons
-    over the preorder table and materializes documents by decoding that
-    table instead of re-tokenizing XML text. Both claims are measurable;
-    these guards keep the fast paths ahead of the DOM-era baselines they
-    replaced, so a regression back to parse-on-access or pointer-chasing
-    structural tests fails the benchmark suite.
+    The engine materializes documents by decoding the preorder table
+    instead of re-tokenizing XML text. The guard keeps that fast path
+    ahead of the parse-on-access baseline it replaced, so a regression
+    back to re-parsing fails the benchmark suite.
     """
 
     def _corpus(self):
@@ -253,55 +251,6 @@ class TestBinaryHotPath:
             func()
             best = min(best, time.perf_counter() - start)
         return best
-
-    def test_label_comparison_beats_dom_walk(self):
-        """Ancestor tests: label-prefix comparison vs climbing DOM
-        parent pointers (the cheapest tree-walk formulation — a
-        childless DOM would need a full descendant search)."""
-        pool, _, _, binaries = self._corpus()
-        binary = binaries[0]
-        trees = [binary.materialize() for _ in range(1)]
-        tree = trees[0]
-        nodes = list(tree.nodes())
-        count = len(binary)
-        pairs = [
-            (a, d)
-            for a in range(count)
-            for d in range(count)
-            if a != d
-        ]
-
-        def dom_is_ancestor(ancestor, descendant):
-            node = descendant.parent
-            while node is not None:
-                if node is ancestor:
-                    return True
-                node = node.parent
-            return False
-
-        # Preorder index i ↔ the i-th node of the materialized tree, so
-        # both formulations answer the very same questions — checked
-        # before timing them.
-        for a, d in pairs:
-            assert binary.is_ancestor(a, d) == dom_is_ancestor(
-                nodes[a], nodes[d]
-            )
-
-        label_seconds = self._best_of(
-            lambda: [binary.is_ancestor(a, d) for a, d in pairs]
-        )
-        dom_seconds = self._best_of(
-            lambda: [dom_is_ancestor(nodes[a], nodes[d]) for a, d in pairs]
-        )
-        print(
-            f"\n{len(pairs)} ancestor tests best-of-5:"
-            f" labels {label_seconds * 1000:.2f}ms vs"
-            f" DOM walk {dom_seconds * 1000:.2f}ms"
-            f" ({dom_seconds / label_seconds:.1f}x)"
-        )
-        assert label_seconds < dom_seconds, (
-            "prefix-label structural tests regressed behind the DOM walk"
-        )
 
     def test_binary_decode_beats_reparse(self):
         """Per-document access: decoding the preorder table vs

@@ -1,6 +1,6 @@
 """The ``pushdown`` figure: what does index pushdown buy per site?
 
-Three configurations of the same published ItemsSHor repository (4
+Two configurations of the same published ItemsSHor repository (4
 horizontal fragments + centralized baseline site, binary node tables on
 disk either way), per query:
 
@@ -8,19 +8,16 @@ disk either way), per query:
   fragment document is materialized from its binary table and evaluated
   (the paper-faithful eXist/2005 behaviour, modulo the cheaper decode);
 * ``index-candidates`` — value/path indexes prune to candidate document
-  ids, but ``label_pushdown`` is disabled at every engine, so every
-  candidate is still materialized before the predicate runs;
-* ``label-pushdown`` — the full fast path: index candidates are verified
-  exactly on the binary encoding (prefix-label structural tests, interned
-  value comparisons) and only true matches are materialized.
+  ids for the predicate extracted from the query text, and only the
+  candidates are materialized before the predicate runs.
 
 The reported latency is the round's ``parallel_seconds`` — the slowest
 site's busy time, including the simulated per-document access overhead —
 so the figure shows the per-site cost the paper's Figure 7 methodology
 would attribute to each access path. The JSON ``checks`` block asserts
 the two invariants the CI smoke job gates on: answers byte-identical
-across all three configurations, and the full pushdown path no slower
-than the no-indexes baseline over the query set.
+across both configurations, and the index path no slower than the
+no-indexes baseline over the query set.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from dataclasses import dataclass, field
 from repro.bench.scenarios import Scenario, build_items_scenario
 
 #: Configuration slugs, in the order they are run and reported.
-PUSHDOWN_CONFIGS = ("no-indexes", "index-candidates", "label-pushdown")
+PUSHDOWN_CONFIGS = ("no-indexes", "index-candidates")
 
 #: Relative slack for the never-slower check: the per-document simulated
 #: overhead makes the totals strongly deterministic, but queries without
@@ -46,14 +43,13 @@ class PushdownLane:
     config: str
     parallel_seconds: float
     documents_parsed: int
-    label_pruned: int
     binary_decodes: int
     result_bytes: int
 
 
 @dataclass
 class PushdownRun:
-    """One query across the three configurations."""
+    """One query across both configurations."""
 
     qid: str
     description: str
@@ -67,25 +63,16 @@ class PushdownRun:
         raise KeyError(config)
 
 
-def _set_label_pushdown(scenario: Scenario, enabled: bool) -> None:
-    """Flip exact binary verification at every site engine in place."""
-    for site in scenario.partix.cluster.sites():
-        engine = getattr(site.driver, "engine", None)
-        if engine is not None:
-            engine.label_pushdown = enabled
-
-
-def _round_stats(result) -> tuple[int, int, int]:
-    parsed = pruned = decodes = 0
+def _round_stats(result) -> tuple[int, int]:
+    parsed = decodes = 0
     for execution in result.round.executions:
         parsed += execution.result.documents_parsed
-        pruned += execution.result.label_pruned
         decodes += execution.result.binary_decodes
-    return parsed, pruned, decodes
+    return parsed, decodes
 
 
 def run_pushdown(scale: float, repetitions: int, transmission: bool) -> dict:
-    """Run the three-configuration comparison; returns the JSON payload."""
+    """Run the two-configuration comparison; returns the JSON payload."""
     scenario = build_items_scenario(
         "small", paper_mb=100, fragment_count=4, scale=scale, use_indexes=True
     )
@@ -94,7 +81,6 @@ def run_pushdown(scale: float, repetitions: int, transmission: bool) -> dict:
         results = {}
         timings: dict[str, list[float]] = {c: [] for c in PUSHDOWN_CONFIGS}
         for config in PUSHDOWN_CONFIGS:
-            _set_label_pushdown(scenario, config == "label-pushdown")
             use_indexes = config != "no-indexes"
             for repetition in range(repetitions + 1):
                 result = scenario.partix.execute(
@@ -116,7 +102,7 @@ def run_pushdown(scale: float, repetitions: int, transmission: bool) -> dict:
             ),
         )
         for config in PUSHDOWN_CONFIGS:
-            parsed, pruned, decodes = _round_stats(results[config])
+            parsed, decodes = _round_stats(results[config])
             run.lanes.append(
                 PushdownLane(
                     config=config,
@@ -124,13 +110,11 @@ def run_pushdown(scale: float, repetitions: int, transmission: bool) -> dict:
                         sum(timings[config]) / len(timings[config])
                     ),
                     documents_parsed=parsed,
-                    label_pruned=pruned,
                     binary_decodes=decodes,
                     result_bytes=results[config].result_bytes,
                 )
             )
         runs.append(run)
-    _set_label_pushdown(scenario, True)
     print(_format(scenario, runs))
     return _payload(scenario, scale, runs)
 
@@ -162,7 +146,6 @@ def _format(scenario: Scenario, runs: list) -> str:
             lines.append(
                 f"  {config:<{width}}  {lane.parallel_seconds * 1000:9.2f} ms"
                 f"{ratio}  materialized={lane.documents_parsed}"
-                f" label_pruned={lane.label_pruned}"
             )
         if not run.byte_identical:
             lines.append("  !! answers differ across configurations")
@@ -179,7 +162,7 @@ def _payload(scenario: Scenario, scale: float, runs: list) -> dict:
     totals = _totals(runs)
     byte_identical = all(run.byte_identical for run in runs)
     not_slower = (
-        totals["label-pushdown"]
+        totals["index-candidates"]
         <= totals["no-indexes"] * (1.0 + PUSHDOWN_SLACK)
     )
     return {
@@ -198,7 +181,6 @@ def _payload(scenario: Scenario, scale: float, runs: list) -> dict:
                     lane.config: {
                         "parallel_seconds": lane.parallel_seconds,
                         "documents_parsed": lane.documents_parsed,
-                        "label_pruned": lane.label_pruned,
                         "binary_decodes": lane.binary_decodes,
                         "result_bytes": lane.result_bytes,
                     }

@@ -84,9 +84,6 @@ class ScenarioResult:
                 return run
         raise KeyError(qid)
 
-    def max_speedup(self) -> float:
-        return max((run.speedup for run in self.runs), default=0.0)
-
 
 def _result_signature(text: str) -> tuple[str, ...]:
     """Order-insensitive result signature (fragments interleave order)."""

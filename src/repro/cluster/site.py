@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING
 
 from repro.engine.stats import QueryResult
 from repro.errors import ClusterError
-from repro.paths.predicates import Predicate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.partix.driver import PartixDriver
@@ -55,13 +54,12 @@ class Site:
         self,
         query: str,
         default_collection: Optional[str] = None,
-        extra_predicate: Optional[Predicate] = None,
         use_indexes: Optional[bool] = None,
         parallel_degree: Optional[int] = None,
     ) -> QueryResult:
         # The overrides travel only when set — mirroring the wire
         # protocol, and keeping duck-typed driver substitutes with the
-        # historical three-argument signature working on plain lanes.
+        # historical two-argument signature working on plain lanes.
         kwargs = {}
         if use_indexes is not None:
             kwargs["use_indexes"] = use_indexes
@@ -70,7 +68,6 @@ class Site:
         return self.driver.execute(
             query,
             default_collection=default_collection,
-            extra_predicate=extra_predicate,
             **kwargs,
         )
 

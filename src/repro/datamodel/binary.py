@@ -3,21 +3,13 @@
 Serialized-text storage makes every access pay a full parse; this module
 is the alternative built once at publish time: a *preorder node table*
 whose tag/attribute names and data values are interned in a per-collection
-:class:`StringPool`, plus a *prefix label* per node in the style of Koong
-et al., so structural relationships resolve on label comparisons instead
-of pointer walks:
-
-* node ``a`` is an **ancestor** of ``b``  iff ``label(a)`` is a proper
-  prefix of ``label(b)``;
-* ``a`` is the **parent** of ``b``        iff ``label(a) == label(b)[:-1]``;
-* two nodes are **document-ordered** by comparing labels lexicographically.
+:class:`StringPool`.
 
 The table is stored in parallel arrays (kind, name id, value id, parent
 index, explicit ``node_id``); preorder position doubles as a clustered
 node range — the descendants of node ``i`` occupy exactly the positions
-``(i, i + subtree_size(i))`` — so an index hit on a node prunes to a
-contiguous slice of the table. Subtree sizes and prefix labels are
-derived from the parent array, so the persistent form stays minimal.
+``(i, i + subtree_size(i))``. Subtree sizes are derived from the parent
+array, so the persistent form stays minimal.
 
 Round-trip contract: ``BinaryXMLDocument.encode(doc).materialize()``
 reproduces ``doc`` exactly — structure, values, and ``node_id``s (the
@@ -76,10 +68,6 @@ class StringPool:
         self._ids[value] = index
         return index
 
-    def lookup(self, value: str) -> Optional[int]:
-        """Id of ``value`` if already interned (no insertion)."""
-        return self._ids.get(value)
-
     def get(self, index: int) -> str:
         return self._strings[index]
 
@@ -122,9 +110,7 @@ class BinaryXMLDocument:
     * ``parents[i]``  — preorder position of the parent (-1 for the root);
     * ``node_ids[i]`` — the document's stable node id (fragments keep the
       source document's ids, so these are explicit, not positional);
-    * ``sizes[i]``    — subtree size including self (derived);
-    * ``labels[i]``   — the prefix label, a tuple of child ordinals from
-      the root (derived; root is ``()``).
+    * ``sizes[i]``    — subtree size including self (derived).
     """
 
     __slots__ = (
@@ -135,7 +121,6 @@ class BinaryXMLDocument:
         "parents",
         "node_ids",
         "sizes",
-        "labels",
     )
 
     def __init__(
@@ -153,7 +138,7 @@ class BinaryXMLDocument:
         self.values = values
         self.parents = parents
         self.node_ids = node_ids
-        self.sizes, self.labels = _derive(parents)
+        self.sizes = _subtree_sizes(parents)
 
     # ------------------------------------------------------------------
     # Construction
@@ -218,7 +203,7 @@ class BinaryXMLDocument:
         )
 
     # ------------------------------------------------------------------
-    # Structure (all label/range based — no DOM involved)
+    # Structure (all range based — no DOM involved)
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.kinds)
@@ -234,35 +219,6 @@ class BinaryXMLDocument:
     def descendant_range(self, index: int) -> range:
         """The contiguous preorder slice holding the strict descendants."""
         return range(index + 1, index + self.sizes[index])
-
-    def is_ancestor(self, ancestor: int, descendant: int) -> bool:
-        """Proper-ancestor test.
-
-        A node's prefix label is a proper prefix of every descendant's
-        label — and because the table is preorder, those descendants are
-        exactly the contiguous positions right after it, so the test is
-        two integer comparisons instead of a tuple-prefix match.
-        """
-        return ancestor < descendant < ancestor + self.sizes[ancestor]
-
-    def is_parent(self, parent: int, child: int) -> bool:
-        """Prefix-label parent test: parent's label is child's minus one."""
-        return self.labels[child][:-1] == self.labels[parent] and len(
-            self.labels[child]
-        ) == len(self.labels[parent]) + 1
-
-    def text_value(self, index: int) -> str:
-        """The node's string value (mirrors ``XMLNode.text_value``)."""
-        if self.kinds[index] != KIND_ELEMENT:
-            value = self.values[index]
-            return self.pool.get(value) if value >= 0 else ""
-        parts = []
-        for i in self.descendant_range(index):
-            if self.kinds[i] == KIND_TEXT:
-                value = self.values[i]
-                if value >= 0:
-                    parts.append(self.pool.get(value))
-        return "".join(parts)
 
     def name_of(self, index: int) -> Optional[str]:
         name = self.names[index]
@@ -280,22 +236,6 @@ class BinaryXMLDocument:
             node = self.parents[node]
         labels.reverse()
         return tuple(labels)
-
-    def sibling_ordinal(self, index: int) -> int:
-        """1-based position among same-kind, same-name siblings (``e[i]``)."""
-        parent = self.parents[index]
-        if parent < 0:
-            return 1
-        position = 0
-        for sibling in self.children(parent):
-            if (
-                self.kinds[sibling] == self.kinds[index]
-                and self.names[sibling] == self.names[index]
-            ):
-                position += 1
-                if sibling == index:
-                    return position
-        raise ValueError("node is not among its parent's children")
 
     # ------------------------------------------------------------------
     # Persistence
@@ -331,16 +271,10 @@ class BinaryXMLDocument:
         return cls(pool, kinds, names, values, parents, node_ids)
 
 
-def _derive(parents: array) -> tuple[array, tuple[tuple[int, ...], ...]]:
-    """Subtree sizes and prefix labels from the parent array alone."""
+def _subtree_sizes(parents: array) -> array:
+    """Subtree sizes (self included) from the parent array alone."""
     count = len(parents)
     sizes = array("q", [1] * count)
     for i in range(count - 1, 0, -1):
         sizes[parents[i]] += sizes[i]
-    labels: list[tuple[int, ...]] = [()] * count
-    child_counts = [0] * count
-    for i in range(1, count):
-        parent = parents[i]
-        labels[i] = labels[parent] + (child_counts[parent],)
-        child_counts[parent] += 1
-    return sizes, tuple(labels)
+    return sizes

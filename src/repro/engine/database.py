@@ -8,14 +8,11 @@ query is:
 1. parse the query and statically analyze it;
 2. for each referenced collection, prune candidate documents through the
    indexes (text-search and equality predicates);
-3. with indexes on, verify each candidate's predicate exactly over its
-   binary node table (label pushdown) so non-matching documents never
-   materialize;
-4. materialize the survivors on access — decoding the binary table when
+3. materialize the survivors on access — decoding the binary table when
    present, else the parse-on-text path that made every touched document
    pay real parse cost (the effect behind the paper's superlinear
    fragmentation speedups, still the behaviour with ``use_indexes=False``);
-5. evaluate and serialize the result.
+4. evaluate and serialize the result.
 
 ``cache_parsed`` can keep parsed trees in an LRU cache; it defaults to
 off so benchmarks model the paper's per-query parse behaviour, and the
@@ -77,14 +74,6 @@ class XMLEngine:
         default (see module docstring).
     use_indexes:
         Enable index-assisted document pruning.
-    label_pushdown:
-        When index pruning runs, verify each candidate's predicate
-        exactly over its binary node table *before* materializing a DOM
-        (see :func:`repro.paths.predicates.evaluate_on_binary`), so an
-        index probe prunes to the truly matching documents. Sound because
-        extracted predicates are necessary conditions and the binary
-        evaluation is exact; a no-op when ``use_indexes`` is off (the
-        paper-faithful mode scans everything).
     per_document_overhead:
         *Simulated* fixed cost (seconds) per document access, added to
         reported elapsed times but never slept. Models the per-document
@@ -114,7 +103,6 @@ class XMLEngine:
         cache_parsed: bool = False,
         cache_size: int = 256,
         use_indexes: bool = True,
-        label_pushdown: bool = True,
         per_document_overhead: float = 0.0,
         shard_workers: int = 0,
     ):
@@ -122,7 +110,6 @@ class XMLEngine:
         self.store = DocumentStore(storage_dir=storage_dir)
         self.stats = EngineStats()
         self.planner = Planner(use_indexes=use_indexes)
-        self.label_pushdown = label_pushdown
         self.cache_parsed = cache_parsed
         self.per_document_overhead = per_document_overhead
         self.shard_workers = max(0, int(shard_workers))
@@ -332,42 +319,9 @@ class XMLEngine:
             collection, predicate, use_indexes=use_indexes
         )
         stats.index_lookups += lookups
-        indexing = (
-            self.planner.use_indexes if use_indexes is None else use_indexes
-        )
-        if indexing and self.label_pushdown and predicate is not None:
-            candidates = self._verify_on_binary(
-                collection, predicate, candidates, stats
-            )
         stats.documents_scanned += len(candidates)
         stats.documents_pruned += len(collection) - len(candidates)
         return candidates
-
-    def _verify_on_binary(
-        self,
-        collection,
-        predicate: Predicate,
-        candidates: list[str],
-        stats: EngineStats,
-    ) -> list[str]:
-        """Exact pushdown: evaluate the predicate over each candidate's
-        binary node table and drop definite non-matches before any DOM is
-        built. Sound because extracted predicates are *necessary*
-        conditions (planner invariant) and the binary evaluation mirrors
-        DOM evaluation exactly; undecidable atoms (``None``) keep the
-        document, as does a record with no table."""
-        from repro.paths.predicates import evaluate_on_binary
-
-        verified: list[str] = []
-        for doc_name in candidates:
-            binary = collection.get(doc_name).binary
-            if binary is not None and evaluate_on_binary(
-                predicate, binary
-            ) is False:
-                stats.label_pruned += 1
-                continue
-            verified.append(doc_name)
-        return verified
 
     def _shard_plan(
         self,
@@ -492,19 +446,15 @@ class XMLEngine:
         self,
         query: Union[str, Expr],
         default_collection: Optional[str] = None,
-        extra_predicate: Optional[Predicate] = None,
         use_indexes: Optional[bool] = None,
         parallel_degree: Optional[int] = None,
     ) -> QueryResult:
         """Execute a query and return its :class:`QueryResult`.
 
         ``default_collection`` resolves bare ``collection()`` calls.
-        ``extra_predicate`` lets a coordinator push an additional pruning
-        predicate (PartiX uses this when it knows a sub-query can only
-        match documents satisfying a fragment's μ). ``use_indexes``
-        overrides the engine's index setting for this query only — the
-        knob an ``IndexScan`` plan leaf turns on at a site whose default
-        is the paper-faithful full scan. ``parallel_degree`` ≥ 2 asks
+        ``use_indexes`` overrides the engine's index setting for this
+        query only — the knob an ``IndexScan`` plan leaf turns on at a
+        site whose default is the paper-faithful full scan. ``parallel_degree`` ≥ 2 asks
         for sharded evaluation across the engine's worker pool (a
         request, not a command — see :meth:`_shard_plan`); the answer is
         byte-identical either way.
@@ -524,14 +474,6 @@ class XMLEngine:
         expr = parse_query(query) if isinstance(query, str) else query
         analysis = analyze_query(expr)
         predicate = analysis.predicate
-        if extra_predicate is not None:
-            from repro.paths.predicates import And
-
-            predicate = (
-                extra_predicate
-                if predicate is None
-                else And((predicate, extra_predicate))
-            )
         sharded = self._shard_plan(
             query, expr, analysis, default_collection, parallel_degree
         )
@@ -551,8 +493,6 @@ class XMLEngine:
                 delta.queries_executed += 1
                 elapsed = time.perf_counter() - started
                 self._commit_stats(delta)
-                with self._stats_lock:
-                    cumulative = self.stats.snapshot()
                 return QueryResult(
                     items=items,
                     result_text=result_text,
@@ -568,8 +508,6 @@ class XMLEngine:
                     cache_hits=delta.cache_hits,
                     simulated_overhead_seconds=delta.simulated_overhead_seconds,
                     binary_decodes=delta.binary_decodes,
-                    label_pruned=delta.label_pruned,
-                    stats=cumulative,
                 )
             # Too few candidates to amortize a shard: pre-charge nothing
             # extra — the provider below re-runs scan/prune against a
@@ -585,8 +523,6 @@ class XMLEngine:
         result_text = serialize_sequence(items)
         elapsed = time.perf_counter() - started
         self._commit_stats(delta)
-        with self._stats_lock:
-            cumulative = self.stats.snapshot()
         return QueryResult(
             items=items,
             result_text=result_text,
@@ -600,15 +536,12 @@ class XMLEngine:
             cache_hits=delta.cache_hits,
             simulated_overhead_seconds=delta.simulated_overhead_seconds,
             binary_decodes=delta.binary_decodes,
-            label_pruned=delta.label_pruned,
-            stats=cumulative,
         )
 
     def execute_iter(
         self,
         query: Union[str, Expr],
         default_collection: Optional[str] = None,
-        extra_predicate: Optional[Predicate] = None,
         use_indexes: Optional[bool] = None,
         parallel_degree: Optional[int] = None,
     ) -> "StreamedExecution":
@@ -629,7 +562,6 @@ class XMLEngine:
             result = self.execute(
                 query,
                 default_collection=default_collection,
-                extra_predicate=extra_predicate,
                 use_indexes=use_indexes,
                 parallel_degree=parallel_degree,
             )
@@ -639,14 +571,6 @@ class XMLEngine:
         expr = parse_query(query) if isinstance(query, str) else query
         analysis = analyze_query(expr)
         predicate = analysis.predicate
-        if extra_predicate is not None:
-            from repro.paths.predicates import And
-
-            predicate = (
-                extra_predicate
-                if predicate is None
-                else And((predicate, extra_predicate))
-            )
         provider = _EngineProvider(
             self, default_collection, predicate, delta, use_indexes
         )
@@ -814,8 +738,6 @@ class StreamedExecution:
                     prefolded.simulated_overhead_seconds
                 ),
                 binary_decodes=prefolded.binary_decodes,
-                label_pruned=prefolded.label_pruned,
-                stats=prefolded.stats,
             )
             return
         streamed_bytes = 0
@@ -834,8 +756,6 @@ class StreamedExecution:
         engine, delta = self._engine, self._delta
         elapsed = time.perf_counter() - self._started
         engine._commit_stats(delta)
-        with engine._stats_lock:
-            cumulative = engine.stats.snapshot()
         self.result = QueryResult(
             items=self.items,
             result_text="",
@@ -849,8 +769,6 @@ class StreamedExecution:
             cache_hits=delta.cache_hits,
             simulated_overhead_seconds=delta.simulated_overhead_seconds,
             binary_decodes=delta.binary_decodes,
-            label_pruned=delta.label_pruned,
-            stats=cumulative,
         )
 
 

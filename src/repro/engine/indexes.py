@@ -6,22 +6,15 @@ and path expressions evaluation"):
 
 * :class:`FullTextIndex` — inverted word index over all text content;
   answers ``contains`` predicates with a (sound) superset of documents.
-* :class:`ValueIndex` — maps ``(element label, value)`` to documents
-  *and* the prefix labels of the matching nodes.
+* :class:`ValueIndex` — maps ``(element label, value)`` to documents.
 * :class:`ElementIndex` — maps element/attribute labels to documents;
   answers existential path tests.
-* :class:`PathIndex` — root-to-node label paths, also with per-document
-  node prefix labels.
+* :class:`PathIndex` — root-to-node label paths to documents.
 * :class:`RangeIndex` — ordered values for ``<``/``>`` predicates.
 
 Indexes ingest :class:`~repro.datamodel.binary.BinaryXMLDocument` tables
-(one linear pass over the preorder arrays — no DOM). Document-level
-lookups return sound supersets, exactly as before. The value and path
-indexes additionally record each hit's *prefix label*, so a hit prunes
-to a node range: the label identifies the node's position and, through
-the table's subtree sizes, the contiguous preorder slice beneath it —
-the engine's post-index verification starts from those labels instead of
-re-scanning whole documents.
+(one linear pass over the preorder arrays — no DOM). Every lookup
+returns a sound superset of the documents that can match.
 """
 
 from __future__ import annotations
@@ -36,9 +29,6 @@ from repro.datamodel.binary import (
 )
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
-
-#: A node's prefix label: child ordinals from the root (root = ``()``).
-PrefixLabel = tuple[int, ...]
 
 
 def tokenize_text(text: str) -> set[str]:
@@ -103,41 +93,34 @@ class FullTextIndex:
             union |= postings
         return union
 
-    def vocabulary_size(self) -> int:
-        return len(self._postings)
-
 
 class ValueIndex:
-    """Equality index: (element label, exact value) → documents + labels."""
+    """Equality index: (element label, exact value) → documents."""
 
     def __init__(self) -> None:
-        self._entries: dict[tuple[str, str], dict[str, list[PrefixLabel]]] = {}
+        self._entries: dict[tuple[str, str], set[str]] = {}
         self._labels: set[str] = set()
 
-    def _add(self, key: tuple[str, str], name: str, label: PrefixLabel) -> None:
-        self._entries.setdefault(key, {}).setdefault(name, []).append(label)
+    def _add(self, key: tuple[str, str], name: str) -> None:
+        self._entries.setdefault(key, set()).add(name)
 
     def add_document(self, name: str, binary: BinaryXMLDocument) -> None:
         for index in range(len(binary)):
             kind = binary.kinds[index]
             if kind == KIND_ATTRIBUTE:
                 label = "@" + (binary.name_of(index) or "")
-                self._add(
-                    (label, _value_at(binary, index)),
-                    name,
-                    binary.labels[index],
-                )
+                self._add((label, _value_at(binary, index)), name)
                 self._labels.add(label)
             elif kind == KIND_ELEMENT:
                 text = _immediate_text(binary, index)
                 if text is not None:
                     label = binary.name_of(index) or ""
-                    self._add((label, text), name, binary.labels[index])
+                    self._add((label, text), name)
                     self._labels.add(label)
 
     def remove_document(self, name: str) -> None:
         for postings in self._entries.values():
-            postings.pop(name, None)
+            postings.discard(name)
 
     def covers_label(self, label: str) -> bool:
         """Is this label indexed at all (i.e. can a lookup be trusted)?"""
@@ -145,64 +128,37 @@ class ValueIndex:
 
     def lookup(self, label: str, value: str) -> set[str]:
         """Documents holding an element/attribute ``label`` with ``value``."""
-        return set(self._entries.get((label, value), {}))
-
-    def lookup_nodes(self, label: str, value: str) -> dict[str, list[PrefixLabel]]:
-        """Per-document prefix labels of the hit nodes — an index hit
-        narrows verification to those nodes' ranges, not the whole
-        document."""
-        return {
-            name: list(labels)
-            for name, labels in self._entries.get((label, value), {}).items()
-        }
-
-    def entry_count(self) -> int:
-        return len(self._entries)
+        return set(self._entries.get((label, value), set()))
 
 
 class PathIndex:
-    """Structural index: root-to-node label paths → documents + labels.
+    """Structural index: root-to-node label paths → documents.
 
     Keys are label sequences like ``("Store", "Items", "Item",
     "Section")`` — the structural summary eXist and most native XML
     stores maintain. It answers existential tests (does any document
     contain a node reachable by this path?) more precisely than the
     label-only :class:`ElementIndex`, including simple descendant
-    patterns (suffix matching), and records the prefix labels of the
-    nodes standing at each path.
+    patterns (suffix matching).
     """
 
     def __init__(self) -> None:
-        self._postings: dict[tuple[str, ...], dict[str, list[PrefixLabel]]] = {}
+        self._postings: dict[tuple[str, ...], set[str]] = {}
 
     def add_document(self, name: str, binary: BinaryXMLDocument) -> None:
         for index in range(len(binary)):
             if binary.kinds[index] == KIND_TEXT:
                 continue
             key = binary.path_labels(index)
-            self._postings.setdefault(key, {}).setdefault(name, []).append(
-                binary.labels[index]
-            )
+            self._postings.setdefault(key, set()).add(name)
 
     def remove_document(self, name: str) -> None:
         for postings in self._postings.values():
-            postings.pop(name, None)
-
-    def known_paths(self) -> list[tuple[str, ...]]:
-        return list(self._postings)
+            postings.discard(name)
 
     def lookup_exact(self, labels: tuple[str, ...]) -> set[str]:
         """Documents containing a node at exactly this root-to-node path."""
-        return set(self._postings.get(labels, {}))
-
-    def lookup_exact_nodes(
-        self, labels: tuple[str, ...]
-    ) -> dict[str, list[PrefixLabel]]:
-        """Per-document prefix labels of the nodes at this exact path."""
-        return {
-            name: list(found)
-            for name, found in self._postings.get(labels, {}).items()
-        }
+        return set(self._postings.get(labels, set()))
 
     def lookup_suffix(self, labels: tuple[str, ...]) -> set[str]:
         """Documents containing a node whose path *ends with* ``labels``.
@@ -214,7 +170,7 @@ class PathIndex:
         size = len(labels)
         for key, postings in self._postings.items():
             if len(key) >= size and key[-size:] == labels:
-                result |= set(postings)
+                result |= postings
         return result
 
 
@@ -338,6 +294,3 @@ class ElementIndex:
     def lookup(self, label: str) -> set[str]:
         """Documents containing at least one node with ``label``."""
         return set(self._postings.get(label, set()))
-
-    def known_labels(self) -> set[str]:
-        return set(self._postings)

@@ -32,8 +32,8 @@ Per-shard :class:`~repro.engine.stats.EngineStats` are returned as plain
 dicts and absorbed into the parent query's accumulator, so the sharded
 counters sum *exactly* to what the serial run would have charged: the
 parent charges scan/prune once (``index_lookups``, ``documents_scanned``,
-``documents_pruned``, ``label_pruned``), the workers charge only the
-materialization and evaluation of their own documents.
+``documents_pruned``), the workers charge only the materialization and
+evaluation of their own documents.
 """
 
 from __future__ import annotations

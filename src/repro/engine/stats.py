@@ -8,7 +8,7 @@ and the ablation benches assert on them directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -31,9 +31,6 @@ class EngineStats:
     #: text parse (a subset of ``documents_parsed``, which counts every
     #: materialization from storage regardless of path).
     binary_decodes: int = 0
-    #: Index-candidate documents discarded by exact predicate evaluation
-    #: over the binary encoding *before* any DOM was built.
-    label_pruned: int = 0
     #: Parsed-document LRU cache hits (documents served without a re-parse).
     cache_hits: int = 0
     parse_seconds: float = 0.0
@@ -43,12 +40,8 @@ class EngineStats:
     #: distinguish measured from simulated time.
     simulated_overhead_seconds: float = 0.0
 
-    def snapshot(self) -> "EngineStats":
-        """An independent copy of the current counters."""
-        return EngineStats(**vars(self))
-
     def diff(self, earlier: "EngineStats") -> "EngineStats":
-        """Counters accumulated since ``earlier`` (a prior snapshot)."""
+        """Counters accumulated since ``earlier`` (an earlier copy)."""
         return EngineStats(
             **{
                 name: getattr(self, name) - getattr(earlier, name)
@@ -98,8 +91,6 @@ class QueryResult:
     cache_hits: int = 0
     simulated_overhead_seconds: float = 0.0
     binary_decodes: int = 0
-    label_pruned: int = 0
-    stats: EngineStats = field(repr=False, default_factory=EngineStats)
 
     @property
     def measured_seconds(self) -> float:

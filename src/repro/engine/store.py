@@ -10,9 +10,9 @@ fragment metadata are honest.
 Each document additionally carries a compact **binary node table**
 (:class:`~repro.datamodel.binary.BinaryXMLDocument`), built once at
 publish time over the collection's shared string pool. Indexes ingest
-the table directly, predicate verification runs over it without a DOM,
-and materialization decodes it instead of re-tokenizing text — the raw
-bytes remain the canonical wire/serialization form.
+the table directly and materialization decodes it instead of
+re-tokenizing text — the raw bytes remain the canonical
+wire/serialization form.
 
 Optional disk persistence keeps each collection in a directory of
 ``.xml`` files (plus ``<name>.xml.pxb`` node tables and one

@@ -591,8 +591,8 @@ def _check_index_differential(
     leaves the plan (and so the lane order) untouched — only each
     site's access path flips — so even multi-fragment concat answers
     may not differ by a byte. An index probe returning an unsound
-    candidate set, or label verification pruning a matching document,
-    shows up here as a mismatch of kind ``index``.
+    candidate set (one that drops a matching document) shows up here as
+    a mismatch of kind ``index``.
     """
     for mode in modes:
         if mode not in by_mode:

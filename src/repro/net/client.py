@@ -45,7 +45,6 @@ from repro.partix.driver import PartixDriver
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datamodel.document import XMLDocument
-    from repro.paths.predicates import Predicate
     from repro.plan.spec import SubQuery
 
 
@@ -261,7 +260,6 @@ class SiteClient:
         self,
         query: str,
         default_collection: Optional[str] = None,
-        extra_predicate: Optional["Predicate"] = None,
         read_timeout: Optional[float] = None,
         debug_sleep_seconds: Optional[float] = None,
         use_indexes: Optional[bool] = None,
@@ -275,10 +273,6 @@ class SiteClient:
         payload: dict = {"query": query}
         if default_collection is not None:
             payload["default_collection"] = default_collection
-        if extra_predicate is not None:
-            from repro.partix.serialization import predicate_to_dict
-
-            payload["extra_predicate"] = predicate_to_dict(extra_predicate)
         if debug_sleep_seconds:
             payload["debug_sleep_seconds"] = debug_sleep_seconds
         if use_indexes is not None:
@@ -306,7 +300,6 @@ class SiteClient:
                     "simulated_overhead_seconds", 0.0
                 ),
                 binary_decodes=data.get("binary_decodes", 0),
-                label_pruned=data.get("label_pruned", 0),
             ),
             sent,
             received,
@@ -316,7 +309,6 @@ class SiteClient:
         self,
         query: str,
         default_collection: Optional[str] = None,
-        extra_predicate: Optional["Predicate"] = None,
         on_chunk=None,
         read_timeout: Optional[float] = None,
         use_indexes: Optional[bool] = None,
@@ -335,10 +327,6 @@ class SiteClient:
         payload: dict = {"query": query, "stream": True}
         if default_collection is not None:
             payload["default_collection"] = default_collection
-        if extra_predicate is not None:
-            from repro.partix.serialization import predicate_to_dict
-
-            payload["extra_predicate"] = predicate_to_dict(extra_predicate)
         if use_indexes is not None:
             payload["use_indexes"] = use_indexes
         if parallel_degree is not None:
@@ -416,7 +404,6 @@ class SiteClient:
                     "simulated_overhead_seconds", 0.0
                 ),
                 binary_decodes=data.get("binary_decodes", 0),
-                label_pruned=data.get("label_pruned", 0),
             ),
             sent,
             received_total,
@@ -498,14 +485,12 @@ class RemoteSiteDriver(PartixDriver):
         self,
         query: str,
         default_collection: Optional[str] = None,
-        extra_predicate: Optional["Predicate"] = None,
         use_indexes: Optional[bool] = None,
         parallel_degree: Optional[int] = None,
     ) -> QueryResult:
         result, _, _ = self.client.execute(
             query,
             default_collection=default_collection,
-            extra_predicate=extra_predicate,
             use_indexes=use_indexes,
             parallel_degree=parallel_degree,
         )

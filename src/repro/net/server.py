@@ -60,7 +60,6 @@ def _result_payload(result) -> dict:
         "documents_scanned": result.documents_scanned,
         "documents_pruned": result.documents_pruned,
         "binary_decodes": result.binary_decodes,
-        "label_pruned": result.label_pruned,
         "cache_hits": result.cache_hits,
         "simulated_overhead_seconds": result.simulated_overhead_seconds,
     }
@@ -241,19 +240,12 @@ class _SiteHandler(socketserver.BaseRequestHandler):
             # Test hook: lets fault-injection tests hold a query in
             # flight while they kill the server.
             time.sleep(float(delay))
-        extra = payload.get("extra_predicate")
-        predicate = None
-        if extra is not None:
-            from repro.partix.serialization import predicate_from_dict
-
-            predicate = predicate_from_dict(extra)
         if payload.get("stream"):
-            self._execute_stream(sock, owner, rid, payload, predicate)
+            self._execute_stream(sock, owner, rid, payload)
             return
         result = owner.driver.execute(
             payload["query"],
             default_collection=payload.get("default_collection"),
-            extra_predicate=predicate,
             use_indexes=payload.get("use_indexes"),
             parallel_degree=payload.get("parallel_degree"),
         )
@@ -266,7 +258,6 @@ class _SiteHandler(socketserver.BaseRequestHandler):
         owner: "SiteServer",
         rid: int,
         payload: dict,
-        predicate,
     ) -> None:
         """Streamed EXECUTE: RESULT_CHUNK frames as produced, RESULT_END last.
 
@@ -280,7 +271,6 @@ class _SiteHandler(socketserver.BaseRequestHandler):
         stream = owner.driver.execute_iter(
             payload["query"],
             default_collection=payload.get("default_collection"),
-            extra_predicate=predicate,
             use_indexes=payload.get("use_indexes"),
             parallel_degree=payload.get("parallel_degree"),
         )

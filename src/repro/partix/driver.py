@@ -18,7 +18,6 @@ from typing import Optional, Union
 from repro.datamodel.document import XMLDocument
 from repro.engine.database import XMLEngine
 from repro.engine.stats import QueryResult
-from repro.paths.predicates import Predicate
 
 
 class PartixDriver(abc.ABC):
@@ -43,7 +42,6 @@ class PartixDriver(abc.ABC):
         self,
         query: str,
         default_collection: Optional[str] = None,
-        extra_predicate: Optional[Predicate] = None,
         use_indexes: Optional[bool] = None,
         parallel_degree: Optional[int] = None,
     ) -> QueryResult:
@@ -94,7 +92,6 @@ class PartixDriver(abc.ABC):
         self,
         query: str,
         default_collection: Optional[str] = None,
-        extra_predicate: Optional[Predicate] = None,
         use_indexes: Optional[bool] = None,
         parallel_degree: Optional[int] = None,
     ):
@@ -111,8 +108,7 @@ class PartixDriver(abc.ABC):
             self.execute(
                 query,
                 default_collection=default_collection,
-                extra_predicate=extra_predicate,
-                use_indexes=use_indexes,
+                    use_indexes=use_indexes,
                 parallel_degree=parallel_degree,
             )
         )
@@ -152,14 +148,12 @@ class MiniXDriver(PartixDriver):
         self,
         query: str,
         default_collection: Optional[str] = None,
-        extra_predicate: Optional[Predicate] = None,
         use_indexes: Optional[bool] = None,
         parallel_degree: Optional[int] = None,
     ) -> QueryResult:
         return self.engine.execute(
             query,
             default_collection=default_collection,
-            extra_predicate=extra_predicate,
             use_indexes=use_indexes,
             parallel_degree=parallel_degree,
         )
@@ -168,14 +162,12 @@ class MiniXDriver(PartixDriver):
         self,
         query: str,
         default_collection: Optional[str] = None,
-        extra_predicate: Optional[Predicate] = None,
         use_indexes: Optional[bool] = None,
         parallel_degree: Optional[int] = None,
     ):
         return self.engine.execute_iter(
             query,
             default_collection=default_collection,
-            extra_predicate=extra_predicate,
             use_indexes=use_indexes,
             parallel_degree=parallel_degree,
         )

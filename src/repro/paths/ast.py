@@ -42,12 +42,6 @@ class Step:
     def is_wildcard(self) -> bool:
         return self.name == "*"
 
-    def matches_label(self, label: Optional[str], is_attribute: bool) -> bool:
-        """Does this step's node test accept a node with this label/kind?"""
-        if self.is_attribute != is_attribute:
-            return False
-        return self.is_wildcard or self.name == label
-
     def __str__(self) -> str:
         text = self.axis.value
         text += ("@" + self.name) if self.is_attribute else self.name

@@ -91,84 +91,6 @@ def path_exists(path: PathExpr | str, context: XMLDocument | XMLNode) -> bool:
     return bool(evaluate_path(path, context))
 
 
-# ----------------------------------------------------------------------
-# Evaluation over the binary encoding (no DOM involved)
-# ----------------------------------------------------------------------
-def evaluate_path_binary(path: PathExpr | str, binary) -> list[int]:
-    """Select the preorder positions of ``binary`` matching ``path``.
-
-    ``binary`` is a :class:`~repro.datamodel.binary.BinaryXMLDocument`
-    (duck-typed to keep this package free of engine imports). Semantics
-    mirror :func:`evaluate_path` exactly — virtual document node above
-    the root, child/descendant axes, attribute and wildcard tests,
-    positional qualifiers — but structural moves are label-prefix and
-    node-range operations on the table: the descendant axis scans the
-    contiguous slice ``binary.descendant_range(i)`` instead of walking a
-    tree. Preorder position *is* document order, so results come back
-    ordered and duplicate-free by construction of the final sort.
-    """
-    if isinstance(path, str):
-        path = parse_path(path)
-    current: list[int] = [0] if len(binary) else []
-    virtual_first = True
-    for step in path.steps:
-        current = _apply_step_binary(step, current, binary, virtual_first)
-        virtual_first = False
-        if not current:
-            return []
-    return sorted(set(current))
-
-
-def _apply_step_binary(
-    step: Step, context: list[int], binary, virtual_first: bool
-) -> list[int]:
-    selected: list[int] = []
-    # Resolve the step's name against the pool once: a name the pool has
-    # never interned cannot label any node of any document it serves.
-    name_id = None
-    if not step.is_wildcard:
-        name_id = binary.pool.lookup(step.name)
-        if name_id is None:
-            return []
-    for node in context:
-        if virtual_first:
-            # The context holds the root; treat it as the child (or a
-            # descendant) of the virtual document node.
-            if step.axis is Axis.CHILD:
-                candidates: Iterable[int] = (node,)
-            else:
-                candidates = range(node, node + binary.sizes[node])
-        else:
-            if step.axis is Axis.CHILD:
-                candidates = binary.children(node)
-            else:
-                candidates = binary.descendant_range(node)
-        selected.extend(
-            c for c in candidates if _test_matches_binary(step, c, binary, name_id)
-        )
-    if step.position is not None:
-        selected = [
-            n for n in selected if binary.sibling_ordinal(n) == step.position
-        ]
-    return selected
-
-
-def _test_matches_binary(step: Step, node: int, binary, name_id) -> bool:
-    from repro.datamodel.binary import KIND_ATTRIBUTE, KIND_ELEMENT
-
-    kind = binary.kinds[node]
-    if step.is_attribute:
-        return kind == KIND_ATTRIBUTE and binary.names[node] == name_id
-    if kind != KIND_ELEMENT:
-        return False
-    return step.is_wildcard or binary.names[node] == name_id
-
-
-def binary_path_exists(path: PathExpr | str, binary) -> bool:
-    """Existential test over the binary encoding."""
-    return bool(evaluate_path_binary(path, binary))
-
-
 def is_terminal(path: PathExpr | str, context: XMLDocument | XMLNode) -> bool:
     """Dynamic terminality test (§3.1): every selected node has simple content.
 

@@ -35,7 +35,7 @@ from repro.datamodel.document import XMLDocument
 from repro.datamodel.tree import XMLNode
 from repro.errors import PredicateError
 from repro.paths.ast import PathExpr
-from repro.paths.evaluator import evaluate_path, evaluate_path_binary
+from repro.paths.evaluator import evaluate_path
 from repro.paths.parser import parse_path
 
 Context = Union[XMLDocument, XMLNode]
@@ -302,92 +302,6 @@ class TruePredicate(Predicate):
 
     def __str__(self) -> str:
         return "true()"
-
-
-# ----------------------------------------------------------------------
-# Evaluation over the binary encoding
-# ----------------------------------------------------------------------
-def evaluate_on_binary(predicate: Predicate, binary) -> Optional[bool]:
-    """Exact truth value of ``predicate`` over a binary-encoded document.
-
-    ``binary`` is a :class:`~repro.datamodel.binary.BinaryXMLDocument`.
-    Mirrors :meth:`Predicate.evaluate` atom for atom — same path
-    semantics (:func:`~repro.paths.evaluator.evaluate_path_binary`), same
-    string-value and numeric-coercion rules — but runs on the node table
-    with label-prefix structural moves, so a document can be accepted or
-    rejected without materializing its DOM.
-
-    Returns ``None`` for a predicate shape it cannot decide (future
-    predicate classes); callers must then fall back to DOM evaluation.
-    ``None`` propagates through connectives unless short-circuited by a
-    decided branch.
-    """
-    if isinstance(predicate, TruePredicate):
-        return True
-    if isinstance(predicate, And):
-        undecided = False
-        for part in predicate.parts:
-            verdict = evaluate_on_binary(part, binary)
-            if verdict is False:
-                return False
-            if verdict is None:
-                undecided = True
-        return None if undecided else True
-    if isinstance(predicate, Or):
-        undecided = False
-        for part in predicate.parts:
-            verdict = evaluate_on_binary(part, binary)
-            if verdict is True:
-                return True
-            if verdict is None:
-                undecided = True
-        return None if undecided else False
-    if isinstance(predicate, Not):
-        verdict = evaluate_on_binary(predicate.inner, binary)
-        return None if verdict is None else (not verdict)
-    if isinstance(predicate, Comparison):
-        return any(
-            _compare(binary.text_value(i), predicate.op, predicate.value)
-            for i in evaluate_path_binary(predicate.path, binary)
-        )
-    if isinstance(predicate, FunctionComparison):
-        values = [
-            binary.text_value(i)
-            for i in evaluate_path_binary(predicate.path, binary)
-        ]
-        result = _apply_value_function(predicate.function, values)
-        if result is None:
-            return False
-        return _OPS[predicate.op](result, float(predicate.value))
-    if isinstance(predicate, Contains):
-        return any(
-            predicate.needle in binary.text_value(i)
-            for i in evaluate_path_binary(predicate.path, binary)
-        )
-    if isinstance(predicate, StartsWith):
-        return any(
-            binary.text_value(i).startswith(predicate.prefix)
-            for i in evaluate_path_binary(predicate.path, binary)
-        )
-    if isinstance(predicate, Exists):
-        return bool(evaluate_path_binary(predicate.path, binary))
-    if isinstance(predicate, Empty):
-        return not evaluate_path_binary(predicate.path, binary)
-    return None
-
-
-def _apply_value_function(function: str, values: list[str]) -> Optional[float]:
-    """``φv`` over pre-extracted string values (binary-side twin of
-    ``_VALUE_FUNCTIONS``, which wants DOM nodes)."""
-    if function == "count":
-        return float(len(values))
-    if function == "string-length":
-        return float(len(values[0])) if values else None
-    if function == "number":
-        return _to_number(values[0]) if values else None
-    if function == "sum":
-        return sum(filter(None, (_to_number(v) for v in values)), 0.0)
-    raise PredicateError(f"unknown value function {function!r}")
 
 
 # ----------------------------------------------------------------------

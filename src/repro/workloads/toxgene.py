@@ -212,9 +212,6 @@ class ToXgene:
     def __init__(self, seed: int = 0):
         self.rng = random.Random(seed)
 
-    def generate_node(self, template: NodeTemplate) -> XMLNode:
-        return template.instantiate(self.rng)
-
     def generate_document(
         self, template: NodeTemplate, name: Optional[str] = None
     ) -> XMLDocument:

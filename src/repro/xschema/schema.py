@@ -97,12 +97,6 @@ class ElementDecl:
                 return decl
         return None
 
-    def attribute_decl(self, name: str) -> Optional[AttributeDecl]:
-        for decl in self.attributes:
-            if decl.name == name:
-                return decl
-        return None
-
 
 class Schema:
     """A named set of element declarations."""
@@ -150,9 +144,6 @@ class Schema:
 
     def __contains__(self, name: str) -> bool:
         return name in self._decls
-
-    def type_names(self) -> list[str]:
-        return list(self._decls.keys())
 
     # ------------------------------------------------------------------
     # Validation (the "satisfies" relation of §3.1)

@@ -1,11 +1,9 @@
-"""Binary node tables: encoding, prefix labels, postings, persistence.
+"""Binary node tables: encoding, preorder ranges, persistence.
 
-PR 9's storage layer: every stored document carries a compact preorder
-node table (strings interned in a per-collection pool, each node holding
-a Dewey-style prefix label), the path evaluator and predicate engine run
-directly over it, indexes post prefix labels, and engines with a
-``storage_dir`` reload the tables from disk without ever re-tokenizing
-XML text.
+Every stored document carries a compact preorder node table (strings
+interned in a per-collection pool), the indexes ingest it directly, and
+engines with a ``storage_dir`` reload the tables from disk without ever
+re-tokenizing XML text.
 """
 
 import pytest
@@ -19,17 +17,7 @@ from repro.datamodel.binary import (
     StringPool,
 )
 from repro.engine import XMLEngine
-from repro.engine.store import DocumentStore
-from repro.paths.evaluator import evaluate_path, evaluate_path_binary
-from repro.paths.parser import parse_path
-from repro.paths.predicates import (
-    contains,
-    eq,
-    evaluate_on_binary,
-    exists,
-    func_cmp,
-)
-from repro.xmltext import parse_xml, serialize
+from repro.xmltext import serialize
 
 
 def _sample_document(name="sample.xml"):
@@ -100,115 +88,22 @@ class TestEncodeDecode:
             StringPool.from_bytes(b"junk")
 
 
-class TestPrefixLabels:
-    def test_labels_follow_parents(self):
-        document = _sample_document()
-        binary = BinaryXMLDocument.encode(document, StringPool())
-        for index in range(len(binary)):
-            parent = binary.parents[index]
-            if parent < 0:
-                assert binary.labels[index] == ()
-            else:
-                # A child's label is its parent's plus one component.
-                assert binary.labels[index][:-1] == binary.labels[parent]
-
-    def test_ancestor_is_proper_label_prefix(self):
-        binary = BinaryXMLDocument.encode(_sample_document(), StringPool())
-        for a in range(len(binary)):
-            for d in range(len(binary)):
-                by_range = binary.is_ancestor(a, d)
-                la, ld = binary.labels[a], binary.labels[d]
-                by_prefix = len(la) < len(ld) and ld[: len(la)] == la
-                assert by_range == by_prefix
-
+class TestPreorderRanges:
     def test_descendant_range_is_contiguous_preorder(self):
         binary = BinaryXMLDocument.encode(_sample_document(), StringPool())
+
+        def ancestors(node):
+            parent = binary.parents[node]
+            while parent >= 0:
+                yield parent
+                parent = binary.parents[parent]
+
         for index in range(len(binary)):
             inside = set(binary.descendant_range(index))
             walked = {
-                d for d in range(len(binary)) if binary.is_ancestor(index, d)
+                d for d in range(len(binary)) if index in ancestors(d)
             }
             assert inside == walked
-
-    def test_path_evaluation_matches_dom(self):
-        document = _sample_document()
-        binary = BinaryXMLDocument.encode(document, StringPool())
-        for text in (
-            "/Store/Items/Item",
-            "//Item/Code",
-            "//Description",
-            "/Store//Item/@category",
-            "//Missing",
-        ):
-            path = parse_path(text)
-            dom_nodes = evaluate_path(path, document.root)
-            positions = evaluate_path_binary(path, binary)
-            assert [binary.path_labels(p) for p in positions] == [
-                tuple(
-                    ("@" + n.label) if n.kind.value == "attribute" else n.label
-                    for n in _path_to(node)
-                )
-                for node in dom_nodes
-            ], text
-
-    def test_predicates_match_dom_evaluation(self):
-        document = _sample_document()
-        binary = BinaryXMLDocument.encode(document, StringPool())
-        cases = [
-            eq("//Code", 17),
-            eq("//Code", 99),
-            contains("//Description", "bicycle"),
-            exists("//Item/@category"),
-            exists("//Brand"),
-            func_cmp("count", "//Item", ">", 1),
-        ]
-        for predicate in cases:
-            assert evaluate_on_binary(predicate, binary) == bool(
-                predicate.evaluate(document.root)
-            ), str(predicate)
-
-
-def _path_to(node):
-    chain = []
-    while node is not None:
-        chain.append(node)
-        node = node.parent
-    return list(reversed(chain))
-
-
-class TestLabelPostings:
-    def test_value_index_posts_prefix_labels(self):
-        store = DocumentStore()
-        store.create_collection("c")
-        store.store_document(
-            "c", serialize(_sample_document()), name="s.xml"
-        )
-        collection = store.collection("c")
-        postings = collection.values.lookup_nodes("Code", "17")
-        assert set(postings) == {"s.xml"}
-        binary = collection.get("s.xml").binary
-        (label,) = postings["s.xml"]
-        matches = [
-            i
-            for i in range(len(binary))
-            if binary.labels[i] == tuple(label)
-        ]
-        assert len(matches) == 1
-        assert binary.name_of(matches[0]) == "Code"
-        assert binary.text_value(matches[0]) == "17"
-
-    def test_path_index_posts_prefix_labels(self):
-        store = DocumentStore()
-        store.create_collection("c")
-        store.store_document(
-            "c", serialize(_sample_document()), name="s.xml"
-        )
-        collection = store.collection("c")
-        postings = collection.paths.lookup_exact_nodes(
-            ("Store", "Items", "Item")
-        )
-        assert set(postings) == {"s.xml"}
-        assert len(postings["s.xml"]) == 2  # two Item elements
 
 
 class TestPersistence:
@@ -267,44 +162,3 @@ class TestPersistence:
         # Old on-disk stores hold raw bytes only: the documents parse
         # once and the indexes still ingest from a freshly built table.
         assert reloaded.store.collection("c").values.lookup("Code", "5")
-
-
-class TestLabelPushdownPruning:
-    @staticmethod
-    def _load(engine):
-        engine.create_collection("c")
-        for index in range(6):
-            items = [
-                elem("Item", elem("Code", str(i)))
-                for i in range(1 if index % 2 else 3)
-            ]
-            engine.store_document(
-                "c",
-                serialize(doc(elem("Store", *items), name=f"d{index}.xml")),
-                name=f"d{index}.xml",
-            )
-
-    def test_unindexable_predicate_prunes_before_dom(self):
-        engine = XMLEngine("prune", use_indexes=True)
-        self._load(engine)
-        query = 'for $s in collection("c")/Store return $s/Item/Code'
-        predicate = func_cmp("count", "//Item", ">", 2)
-        result = engine.execute(query, extra_predicate=predicate)
-        # count(...) has no index; candidates stay the whole collection
-        # and exact binary verification drops the non-matching half
-        # without materializing any of them.
-        assert result.label_pruned > 0
-        assert result.documents_parsed < 6
-        # Pushing a predicate is a pruning *hint* — pruning with it is
-        # only sound for documents where it holds, which is exactly what
-        # a collection of just the matching documents expresses.
-        baseline = XMLEngine("scan", use_indexes=False)
-        baseline.create_collection("c")
-        for index in range(0, 6, 2):
-            items = [elem("Item", elem("Code", str(i))) for i in range(3)]
-            baseline.store_document(
-                "c",
-                serialize(doc(elem("Store", *items), name=f"d{index}.xml")),
-                name=f"d{index}.xml",
-            )
-        assert result.result_text == baseline.execute(query).result_text

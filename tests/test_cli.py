@@ -172,6 +172,26 @@ class TestCli:
         assert streamed_lanes
         assert all(lane["streamed"] for lane in streamed_lanes)
 
+    def test_runs_pushdown_figure_and_writes_json(self, capsys, tmp_path):
+        import json
+
+        path = tmp_path / "pushdown.json"
+        exit_code = main(
+            [
+                "--figure", "pushdown",
+                "--scale", "0.002",
+                "--repetitions", "1",
+                "--json", str(path),
+            ]
+        )
+        assert exit_code == 0
+        payload = json.loads(path.read_text())
+        assert payload["configs"] == ["no-indexes", "index-candidates"]
+        assert payload["checks"] == {
+            "byte_identical": True,
+            "pushdown_not_slower": True,
+        }
+
     def test_json_flag_rejected_for_figures_without_payload(self, tmp_path):
         with pytest.raises(SystemExit):
             main(

@@ -68,10 +68,7 @@ class StubDriver(PartixDriver):
     def collection_bytes(self, collection):
         return 0
 
-    def execute(
-        self, query, default_collection=None, extra_predicate=None,
-        use_indexes=None,
-    ):
+    def execute(self, query, default_collection=None, use_indexes=None):
         with self._lock:
             self.calls.append(query)
             self.active += 1

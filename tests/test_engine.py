@@ -256,15 +256,6 @@ class TestExecution:
         with pytest.raises(StorageError):
             engine.execute('collection("nope")/Item')
 
-    def test_extra_predicate_prunes_more(self, engine):
-        result = engine.execute(
-            'count(collection("items")/Item)',
-            extra_predicate=eq("/Item/Section", "CD"),
-        )
-        # The extra predicate is a pruning hint: only CD docs are scanned,
-        # so only they are counted.
-        assert result.documents_parsed == 5
-
     def test_parse_cache_off_by_default(self, engine):
         engine.execute('collection("items")/Item')
         engine.execute('collection("items")/Item')

@@ -2,8 +2,9 @@
 
 Three layers: the generator's determinism contracts, the oracle's
 green path, and — the part that proves the harness can actually bite —
-an injected composer-ordering bug that must be detected, minimized and
-written out as a runnable reproducer.
+injected bugs: a composer-ordering bug that must be detected, minimized
+and written out as a runnable reproducer, and an index probe that loses
+a candidate document.
 """
 
 import json
@@ -156,6 +157,37 @@ class TestInjectedOrderingBug:
         assert failure["repro_path"].startswith(str(tmp_path))
         assert Path(failure["repro_path"]).is_file()
         assert "minimized" in failure
+
+
+def _drop_first_index_candidate(original):
+    """A planner whose index path loses one candidate document — the
+    unsound-index bug the ``--indexes`` oracle must catch."""
+
+    def candidate_documents(self, collection, predicate, use_indexes=None):
+        names, lookups = original(self, collection, predicate, use_indexes)
+        enabled = self.use_indexes if use_indexes is None else use_indexes
+        if enabled and predicate is not None:
+            names = names[1:]
+        return names, lookups
+
+    return candidate_documents
+
+
+class TestInjectedIndexBug:
+    def test_index_oracle_reports_dropped_candidate(self, monkeypatch):
+        from repro.engine.planner import Planner
+
+        monkeypatch.setattr(
+            Planner,
+            "candidate_documents",
+            _drop_first_index_candidate(Planner.candidate_documents),
+        )
+        for iteration in range(40):
+            spec = spec_for_iteration(2013, iteration)
+            outcome = run_case(spec, modes=("simulated",), indexes=True)
+            if "index" in outcome.mismatch_kinds():
+                return
+        raise AssertionError("dropped index candidate never detected")
 
 
 class TestPlanOrderStability:

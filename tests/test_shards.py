@@ -157,7 +157,6 @@ class TestShardStatsExactSum:
         "documents_parsed",
         "bytes_parsed",
         "binary_decodes",
-        "label_pruned",
         "cache_hits",
         "documents_scanned",
         "documents_pruned",
