@@ -13,9 +13,12 @@ Usage::
     python -m repro.bench --figure plans --golden-dir tests/golden/plans
     python -m repro.bench --figure plans --golden-dir tests/golden/plans --update-golden
 
-Prints the same per-query tables the benchmark suite asserts on. The
-``plans`` figure renders every bench query's cost-annotated physical
-plan (``Partix.explain``) and diffs it against the golden files; with
+Prints the same per-query tables the benchmark suite asserts on. A
+figure's JSON payload doubles as its gate: the command exits 1 when the
+payload's top-level ``byte_identical`` or any entry of its ``checks`` is
+false (whether or not ``--json`` is given). The ``plans`` figure
+renders every bench query's cost-annotated physical plan
+(``Partix.explain``) and diffs it against the golden files; with
 ``--update-golden`` it rewrites them instead.
 """
 
@@ -295,6 +298,17 @@ FIGURES = {
 }
 
 
+def failed_gates(payload: dict | None) -> list[str]:
+    """The payload's false gates: top-level ``byte_identical`` and each
+    ``checks`` entry (as ``checks.<name>``)."""
+    if payload is None:
+        return []
+    gates = {"byte_identical": payload.get("byte_identical", True)}
+    for name, ok in payload.get("checks", {}).items():
+        gates[f"checks.{name}"] = ok
+    return [name for name, ok in gates.items() if not ok]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
@@ -357,6 +371,10 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"JSON summary written to {args.json}", file=sys.stderr)
+    failed = failed_gates(payload)
+    if failed:
+        print("gates failed: " + ", ".join(failed), file=sys.stderr)
+        exit_code = 1
     return exit_code
 
 

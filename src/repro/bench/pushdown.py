@@ -43,7 +43,6 @@ class PushdownLane:
     config: str
     parallel_seconds: float
     documents_parsed: int
-    binary_decodes: int
     result_bytes: int
 
 
@@ -61,14 +60,6 @@ class PushdownRun:
             if lane.config == config:
                 return lane
         raise KeyError(config)
-
-
-def _round_stats(result) -> tuple[int, int]:
-    parsed = decodes = 0
-    for execution in result.round.executions:
-        parsed += execution.result.documents_parsed
-        decodes += execution.result.binary_decodes
-    return parsed, decodes
 
 
 def run_pushdown(scale: float, repetitions: int, transmission: bool) -> dict:
@@ -102,15 +93,16 @@ def run_pushdown(scale: float, repetitions: int, transmission: bool) -> dict:
             ),
         )
         for config in PUSHDOWN_CONFIGS:
-            parsed, decodes = _round_stats(results[config])
             run.lanes.append(
                 PushdownLane(
                     config=config,
                     parallel_seconds=(
                         sum(timings[config]) / len(timings[config])
                     ),
-                    documents_parsed=parsed,
-                    binary_decodes=decodes,
+                    documents_parsed=sum(
+                        execution.result.documents_parsed
+                        for execution in results[config].round.executions
+                    ),
                     result_bytes=results[config].result_bytes,
                 )
             )
@@ -181,7 +173,6 @@ def _payload(scenario: Scenario, scale: float, runs: list) -> dict:
                     lane.config: {
                         "parallel_seconds": lane.parallel_seconds,
                         "documents_parsed": lane.documents_parsed,
-                        "binary_decodes": lane.binary_decodes,
                         "result_bytes": lane.result_bytes,
                     }
                     for lane in run.lanes

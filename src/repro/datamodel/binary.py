@@ -96,6 +96,8 @@ class StringPool:
             offset += 4
             strings.append(data[offset : offset + size].decode("utf-8"))
             offset += size
+        if offset != len(data):
+            raise ValueError("string pool length does not match its count")
         return cls(strings)
 
 

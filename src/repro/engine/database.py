@@ -1,17 +1,18 @@
 """MiniX — the sequential XQuery-enabled XML DBMS used at each site.
 
 This is the reproduction's stand-in for eXist: a single-node database
-that stores collections of serialized XML documents, maintains document-
-level indexes, and executes the XQuery subset. The execution pipeline per
-query is:
+that stores collections of XML documents as binary node tables, maintains
+document-level indexes, and executes the XQuery subset. The execution
+pipeline per query is:
 
 1. parse the query and statically analyze it;
 2. for each referenced collection, prune candidate documents through the
    indexes (text-search and equality predicates);
-3. materialize the survivors on access — decoding the binary table when
-   present, else the parse-on-text path that made every touched document
-   pay real parse cost (the effect behind the paper's superlinear
-   fragmentation speedups, still the behaviour with ``use_indexes=False``);
+3. materialize each survivor's DOM from its binary node table on access,
+   so every touched document pays a real per-document cost (the effect
+   behind the paper's superlinear fragmentation speedups, where eXist
+   parsed each document it touched; with ``use_indexes=False`` every
+   document is touched);
 4. evaluate and serialize the result.
 
 ``cache_parsed`` can keep parsed trees in an LRU cache; it defaults to
@@ -21,6 +22,7 @@ ablation benchmark flips it on to quantify the difference.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import threading
 import time
@@ -51,7 +53,6 @@ from repro.errors import (
     XQueryEvaluationError,
 )
 from repro.paths.predicates import Predicate
-from repro.xmltext.parser import parse_xml
 from repro.xmltext.serializer import serialize
 from repro.xquery.analysis import analyze_query
 from repro.xquery.ast_nodes import Expr
@@ -186,10 +187,9 @@ class XMLEngine:
     ) -> XMLDocument:
         """Materialize-on-access with optional LRU caching; updates stats.
 
-        Documents carrying a binary node table decode it (no tokenizer);
-        only table-less records — old on-disk stores — pay a text parse.
-        ``documents_parsed`` counts every materialization from storage
-        either way; ``binary_decodes`` counts the fast-path subset.
+        The DOM is decoded from the document's binary node table (no
+        tokenizer); ``documents_parsed`` counts every materialization
+        from storage and ``bytes_parsed`` the stored serialized size.
 
         ``stats`` is the accumulator to charge — a query in flight passes
         its private per-query accumulator so concurrent queries never
@@ -217,12 +217,7 @@ class XMLEngine:
                 return cached
         stored = self.store.load_document(collection, name)
         started = time.perf_counter()
-        if stored.binary is not None:
-            document = stored.binary.materialize(name=name, origin=stored.origin)
-            charge.binary_decodes += 1
-        else:
-            document = parse_xml(stored.data.decode("utf-8"), name=name)
-            document.origin = stored.origin
+        document = stored.binary.materialize(name=name, origin=stored.origin)
         charge.parse_seconds += time.perf_counter() - started
         charge.documents_parsed += 1
         charge.bytes_parsed += stored.size
@@ -265,11 +260,9 @@ class XMLEngine:
                     for collection_name in self.store.collection_names():
                         collection = self.store.collection(collection_name)
                         for doc_name in collection.names():
-                            stored = collection.get(doc_name)
-                            if stored.binary is not None:
-                                snapshot[
-                                    (collection_name, doc_name)
-                                ] = stored.binary
+                            snapshot[(collection_name, doc_name)] = (
+                                collection.get(doc_name).binary
+                            )
                     self._fork_token = new_fork_token()
                     self._fork_snapshot = snapshot
                     register_fork_snapshot(self._fork_token, snapshot)
@@ -493,21 +486,14 @@ class XMLEngine:
                 delta.queries_executed += 1
                 elapsed = time.perf_counter() - started
                 self._commit_stats(delta)
-                return QueryResult(
+                return QueryResult.from_stats(
+                    vars(delta),
                     items=items,
                     result_text=result_text,
                     result_bytes=len(result_text.encode("utf-8")),
                     elapsed_seconds=(
                         elapsed + overhead_before + parallel_overhead
                     ),
-                    parse_seconds=delta.parse_seconds,
-                    documents_parsed=delta.documents_parsed,
-                    bytes_parsed=delta.bytes_parsed,
-                    documents_scanned=delta.documents_scanned,
-                    documents_pruned=delta.documents_pruned,
-                    cache_hits=delta.cache_hits,
-                    simulated_overhead_seconds=delta.simulated_overhead_seconds,
-                    binary_decodes=delta.binary_decodes,
                 )
             # Too few candidates to amortize a shard: pre-charge nothing
             # extra — the provider below re-runs scan/prune against a
@@ -523,19 +509,12 @@ class XMLEngine:
         result_text = serialize_sequence(items)
         elapsed = time.perf_counter() - started
         self._commit_stats(delta)
-        return QueryResult(
+        return QueryResult.from_stats(
+            vars(delta),
             items=items,
             result_text=result_text,
             result_bytes=len(result_text.encode("utf-8")),
             elapsed_seconds=elapsed + delta.simulated_overhead_seconds,
-            parse_seconds=delta.parse_seconds,
-            documents_parsed=delta.documents_parsed,
-            bytes_parsed=delta.bytes_parsed,
-            documents_scanned=delta.documents_scanned,
-            documents_pruned=delta.documents_pruned,
-            cache_hits=delta.cache_hits,
-            simulated_overhead_seconds=delta.simulated_overhead_seconds,
-            binary_decodes=delta.binary_decodes,
         )
 
     def execute_iter(
@@ -723,21 +702,10 @@ class StreamedExecution:
             prefolded = self._prefolded
             if prefolded.result_text:
                 yield prefolded.result_text
-            self.result = QueryResult(
-                items=prefolded.items,
+            self.result = dataclasses.replace(
+                prefolded,
                 result_text="",
                 result_bytes=len(prefolded.result_text.encode("utf-8")),
-                elapsed_seconds=prefolded.elapsed_seconds,
-                parse_seconds=prefolded.parse_seconds,
-                documents_parsed=prefolded.documents_parsed,
-                bytes_parsed=prefolded.bytes_parsed,
-                documents_scanned=prefolded.documents_scanned,
-                documents_pruned=prefolded.documents_pruned,
-                cache_hits=prefolded.cache_hits,
-                simulated_overhead_seconds=(
-                    prefolded.simulated_overhead_seconds
-                ),
-                binary_decodes=prefolded.binary_decodes,
             )
             return
         streamed_bytes = 0
@@ -756,19 +724,12 @@ class StreamedExecution:
         engine, delta = self._engine, self._delta
         elapsed = time.perf_counter() - self._started
         engine._commit_stats(delta)
-        self.result = QueryResult(
+        self.result = QueryResult.from_stats(
+            vars(delta),
             items=self.items,
             result_text="",
             result_bytes=streamed_bytes,
             elapsed_seconds=elapsed + delta.simulated_overhead_seconds,
-            parse_seconds=delta.parse_seconds,
-            documents_parsed=delta.documents_parsed,
-            bytes_parsed=delta.bytes_parsed,
-            documents_scanned=delta.documents_scanned,
-            documents_pruned=delta.documents_pruned,
-            cache_hits=delta.cache_hits,
-            simulated_overhead_seconds=delta.simulated_overhead_seconds,
-            binary_decodes=delta.binary_decodes,
         )
 
 

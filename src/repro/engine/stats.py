@@ -9,6 +9,7 @@ and the ablation benches assert on them directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 
 @dataclass
@@ -27,10 +28,6 @@ class EngineStats:
     documents_scanned: int = 0
     documents_pruned: int = 0
     index_lookups: int = 0
-    #: Documents materialized from the binary node table instead of a
-    #: text parse (a subset of ``documents_parsed``, which counts every
-    #: materialization from storage regardless of path).
-    binary_decodes: int = 0
     #: Parsed-document LRU cache hits (documents served without a re-parse).
     cache_hits: int = 0
     parse_seconds: float = 0.0
@@ -69,6 +66,20 @@ class EngineStats:
             setattr(self, name, getattr(self, name) + getattr(delta, name))
 
 
+#: The per-query counters a :class:`QueryResult` copies from the query's
+#: :class:`EngineStats` — also the counter fields of the RESULT and
+#: RESULT_END wire payloads.
+RESULT_COUNTERS = (
+    "parse_seconds",
+    "documents_parsed",
+    "bytes_parsed",
+    "documents_scanned",
+    "documents_pruned",
+    "cache_hits",
+    "simulated_overhead_seconds",
+)
+
+
 @dataclass
 class QueryResult:
     """Outcome of one query execution on one engine.
@@ -90,7 +101,26 @@ class QueryResult:
     documents_pruned: int
     cache_hits: int = 0
     simulated_overhead_seconds: float = 0.0
-    binary_decodes: int = 0
+
+    @classmethod
+    def from_stats(
+        cls,
+        counters: Mapping,
+        items: list,
+        result_text: str,
+        result_bytes: int,
+        elapsed_seconds: float,
+    ) -> "QueryResult":
+        """A result taking its :data:`RESULT_COUNTERS` from ``counters`` —
+        ``vars()`` of a query's :class:`EngineStats`, or a decoded RESULT
+        or RESULT_END payload."""
+        return cls(
+            items=items,
+            result_text=result_text,
+            result_bytes=result_bytes,
+            elapsed_seconds=elapsed_seconds,
+            **{name: counters[name] for name in RESULT_COUNTERS},
+        )
 
     @property
     def measured_seconds(self) -> float:

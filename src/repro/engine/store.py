@@ -1,25 +1,22 @@
-"""Document store: named collections of serialized XML documents.
+"""Document store: named collections of XML documents kept as binary
+node tables.
 
-Documents are stored *serialized* (UTF-8 bytes) and parsed on access —
-the same architecture that made the paper's per-document parse overhead
-visible ("some pre-processing operations (e.g., parsing) are carried out
-for each XML tree", §5). Storing bytes also forces every layer above to
-round-trip through real serialization, so reconstruction annotations and
-fragment metadata are honest.
+Each document is stored once, as a compact **binary node table**
+(:class:`~repro.datamodel.binary.BinaryXMLDocument`) built at publish
+time over the collection's shared string pool. Indexes ingest the table
+directly, and every access materializes the DOM from it — the engine's
+counterpart of the per-document "pre-processing operations (e.g.,
+parsing)" the paper's eXist sites paid for each XML tree (§5). Text
+input is parsed exactly once, when it is stored; the serialized text is
+not kept, only its UTF-8 length (``StoredDocument.size``), which the
+parse counters and catalog statistics report. The wire form is
+``serialize(table.materialize())``, which reproduces the stored text.
 
-Each document additionally carries a compact **binary node table**
-(:class:`~repro.datamodel.binary.BinaryXMLDocument`), built once at
-publish time over the collection's shared string pool. Indexes ingest
-the table directly and materialization decodes it instead of
-re-tokenizing text — the raw bytes remain the canonical
-wire/serialization form.
-
-Optional disk persistence keeps each collection in a directory of
-``.xml`` files (plus ``<name>.xml.pxb`` node tables and one
-``_pool.bin`` string pool) and a small metadata file, surviving engine
-restarts without reparsing. Stores written before the binary encoding
-existed — bare ``.xml`` files — load fine: the table is rebuilt by a
-one-time parse.
+Optional disk persistence keeps each collection in a directory holding
+one ``<name>.pxb`` node table per document, the ``_pool.bin`` string
+pool and ``_meta.json`` (origin and size per document, in store order),
+so an engine restart reloads in store order without reparsing. A
+missing or undecodable file is a :class:`~repro.errors.StorageError`.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.datamodel.binary import BinaryXMLDocument, StringPool
 from repro.datamodel.document import XMLDocument
@@ -44,30 +41,28 @@ from repro.xmltext.serializer import serialize
 
 
 class StoredDocument:
-    """One serialized document plus its catalog metadata.
+    """One stored document: its binary node table plus catalog metadata.
 
     ``binary`` is the preorder node table over the owning collection's
-    string pool; :meth:`StoredCollection.put` fills it in when the
-    caller didn't (e.g. a store loaded from bare ``.xml`` files).
+    string pool — the only stored form of the document. ``size`` is the
+    UTF-8 length of the document's serialized text, recorded when it was
+    stored; it is the quantity ``bytes_parsed`` and the catalog's
+    collection statistics count.
     """
 
-    __slots__ = ("name", "data", "origin", "binary")
+    __slots__ = ("name", "origin", "size", "binary")
 
     def __init__(
         self,
         name: str,
-        data: bytes,
-        origin: Optional[str] = None,
-        binary: Optional[BinaryXMLDocument] = None,
+        origin: Optional[str],
+        size: int,
+        binary: BinaryXMLDocument,
     ):
         self.name = name
-        self.data = data
         self.origin = origin or name
+        self.size = size
         self.binary = binary
-
-    @property
-    def size(self) -> int:
-        return len(self.data)
 
 
 class StoredCollection:
@@ -84,26 +79,13 @@ class StoredCollection:
         self.paths = PathIndex()
 
     # ------------------------------------------------------------------
-    def put(self, stored: StoredDocument, document: Optional[XMLDocument] = None) -> None:
-        """Insert (or replace) a document; indexes update from its table.
-
-        The binary node table is built here — once, at publish time —
-        unless the record already carries one (a persistence reload).
-        ``document`` is the parsed tree when the caller already has it
-        (avoids a redundant parse, like eXist indexing during ingestion);
-        otherwise, and only when no table came along, the store parses
-        once to encode.
-        """
+    def put(self, stored: StoredDocument) -> None:
+        """Insert (or replace) a document; indexes update from its table,
+        which must be encoded over this collection's pool."""
         if stored.name in self._documents:
             self.remove(stored.name)
         self._documents[stored.name] = stored
         binary = stored.binary
-        if binary is None:
-            tree = document if document is not None else parse_xml(
-                stored.data.decode("utf-8"), name=stored.name
-            )
-            binary = BinaryXMLDocument.encode(tree, self.pool)
-            stored.binary = binary
         self.fulltext.add_document(stored.name, binary)
         self.values.add_document(stored.name, binary)
         self.elements.add_document(stored.name, binary)
@@ -198,26 +180,29 @@ class DocumentStore:
         name: Optional[str] = None,
         origin: Optional[str] = None,
     ) -> StoredDocument:
-        """Serialize (if needed) and store a document; returns the record."""
+        """Encode and store a document; returns the record.
+
+        Text input is parsed once, here; a tree is serialized once, to
+        record its size. Either way the node table is the only form kept.
+        """
         collection = self.collection(collection_name)
-        tree: Optional[XMLDocument] = None
         if isinstance(document, XMLDocument):
             tree = document
-            data = serialize(document).encode("utf-8")
+            size = len(serialize(document).encode("utf-8"))
             name = name or document.name
             origin = origin or document.origin
-        elif isinstance(document, str):
-            data = document.encode("utf-8")
         else:
-            data = document
+            data = document.encode("utf-8") if isinstance(document, str) else document
+            tree = parse_xml(data.decode("utf-8"), name=name)
+            size = len(data)
         if name is None:
             name = f"{collection_name}-{len(collection):06d}.xml"
-        stored = StoredDocument(name=name, data=data, origin=origin)
-        collection.put(stored, document=tree)
+        stored = StoredDocument(
+            name, origin, size, BinaryXMLDocument.encode(tree, collection.pool)
+        )
+        collection.put(stored)
         if self._storage_dir is not None:
             directory = self._storage_dir / collection_name
-            (directory / name).write_bytes(data)
-            assert stored.binary is not None  # put() always encodes
             (directory / (name + ".pxb")).write_bytes(stored.binary.to_bytes())
             # The pool is append-only, so rewriting it after each store
             # keeps every previously written table decodable.
@@ -231,10 +216,9 @@ class DocumentStore:
     def remove_document(self, collection_name: str, name: str) -> None:
         self.collection(collection_name).remove(name)
         if self._storage_dir is not None:
-            directory = self._storage_dir / collection_name
-            for path in (directory / name, directory / (name + ".pxb")):
-                if path.exists():
-                    path.unlink()
+            (self._storage_dir / collection_name / (name + ".pxb")).unlink(
+                missing_ok=True
+            )
             self._write_metadata(collection_name)
 
     # ------------------------------------------------------------------
@@ -245,50 +229,57 @@ class DocumentStore:
         return self._storage_dir / collection_name / "_meta.json"
 
     def _write_metadata(self, collection_name: str) -> None:
+        """``_meta.json``: origin and size per document, in store order
+        (the order reload restores)."""
         collection = self._collections[collection_name]
-        meta = {
-            name: {"origin": collection.get(name).origin}
-            for name in collection.names()
-        }
+        meta = {}
+        for name in collection.names():
+            stored = collection.get(name)
+            meta[name] = {"origin": stored.origin, "size": stored.size}
         self._metadata_path(collection_name).write_text(json.dumps(meta))
 
     def _load_from_disk(self) -> None:
-        """Rebuild collections binary-first: when a ``.pxb`` node table
-        and the pool are on disk, reload decodes them and never touches
-        the XML text; documents missing a table (pre-binary stores, or a
-        table that fails to decode) fall back to a one-time parse."""
+        """Rebuild every collection from its node tables, walking
+        ``_meta.json`` in store order; XML text is never read or parsed.
+        A missing or undecodable file raises :class:`StorageError`
+        naming it — stores written before this layout (``.xml`` files,
+        or a ``_meta.json`` without sizes) must be republished."""
         assert self._storage_dir is not None
         for directory in sorted(self._storage_dir.iterdir()):
             if not directory.is_dir():
                 continue
-            pool: Optional[StringPool] = None
-            pool_path = directory / "_pool.bin"
-            if pool_path.exists():
-                try:
-                    pool = StringPool.from_bytes(pool_path.read_bytes())
-                except (ValueError, struct.error, UnicodeDecodeError):
-                    pool = None
+            meta_path = directory / "_meta.json"
+            meta = _read_file(meta_path, json.loads)
+            if not isinstance(meta, dict):
+                raise StorageError(f"{meta_path}: not a document map")
+            pool = (
+                _read_file(directory / "_pool.bin", StringPool.from_bytes)
+                if meta
+                else StringPool()
+            )
             collection = StoredCollection(directory.name, pool=pool)
             self._collections[directory.name] = collection
-            meta_path = directory / "_meta.json"
-            meta = (
-                json.loads(meta_path.read_text()) if meta_path.exists() else {}
-            )
-            for path in sorted(directory.glob("*.xml")):
-                origin = meta.get(path.name, {}).get("origin")
-                binary: Optional[BinaryXMLDocument] = None
-                table_path = directory / (path.name + ".pxb")
-                if pool is not None and table_path.exists():
-                    try:
-                        binary = BinaryXMLDocument.from_bytes(
-                            table_path.read_bytes(), collection.pool
-                        )
-                    except (ValueError, struct.error):
-                        binary = None
-                stored = StoredDocument(
-                    name=path.name,
-                    data=path.read_bytes(),
-                    origin=origin,
-                    binary=binary,
+            for name, entry in meta.items():
+                if not isinstance(entry, dict) or "size" not in entry:
+                    raise StorageError(
+                        f"{meta_path}: entry {name!r} records no size"
+                        " (written by an older layout; republish it)"
+                    )
+                binary = _read_file(
+                    directory / (name + ".pxb"),
+                    lambda data: BinaryXMLDocument.from_bytes(data, pool),
                 )
-                collection.put(stored)
+                collection.put(
+                    StoredDocument(name, entry.get("origin"), entry["size"], binary)
+                )
+
+
+def _read_file(path: Path, decode):
+    """``decode(path's bytes)``, with any read or decode failure raised
+    as a :class:`StorageError` that names the file."""
+    try:
+        return decode(path.read_bytes())
+    except OSError as exc:
+        raise StorageError(f"{path}: cannot read ({exc})") from exc
+    except (ValueError, struct.error) as exc:
+        raise StorageError(f"{path}: cannot decode ({exc})") from exc

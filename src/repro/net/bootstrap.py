@@ -7,8 +7,9 @@ Children bind to port 0 on localhost and report the chosen port back
 over a ``multiprocessing`` pipe, so no port coordination is needed.
 
 :func:`mirror_site` republishes a local site's stored collections to its
-remote twin *through the driver path*: the bytes that travel are exactly
-the serialized fragment documents the publisher produced (annotations
+remote twin *through the driver path*: each stored document travels as
+the serialization of the DOM materialized from its node table, which
+reproduces the fragment text the publisher produced (annotations
 included), so the remote engines hold byte-identical repositories.
 
 Shutdown is graceful first (SHUTDOWN frame → drain → exit), with
@@ -24,6 +25,7 @@ from typing import Optional, TYPE_CHECKING
 
 from repro.errors import TransportError
 from repro.net.client import RemoteSiteDriver, SiteClient, TcpTransport
+from repro.xmltext.serializer import serialize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.site import Cluster, Site
@@ -79,9 +81,10 @@ def engine_config_of(site: "Site") -> dict:
 def mirror_site(site: "Site", client: SiteClient) -> tuple[int, int]:
     """Republish a local site's collections to its remote twin.
 
-    Returns ``(collections, documents)`` mirrored. The stored bytes are
-    shipped verbatim — the remote engine re-parses and re-indexes them
-    on ingestion, exactly as it would for a direct publication.
+    Returns ``(collections, documents)`` mirrored. Each document is
+    serialized from its node table and shipped as text — the remote
+    engine parses and re-indexes it on ingestion, exactly as it would
+    for a direct publication.
     """
     engine = getattr(site.driver, "engine", None)
     if engine is None:
@@ -98,7 +101,7 @@ def mirror_site(site: "Site", client: SiteClient) -> tuple[int, int]:
             stored = collection.get(doc_name)
             client.store_document(
                 collection_name,
-                stored.data.decode("utf-8"),
+                serialize(stored.binary.materialize()),
                 name=stored.name,
                 origin=stored.origin,
             )

@@ -48,6 +48,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.plan.spec import SubQuery
 
 
+def _decode_result(payload: dict, text: str, result_bytes: int) -> QueryResult:
+    """The :class:`QueryResult` of a RESULT or RESULT_END payload. Its
+    ``items`` stay empty: only the serialized text crosses the wire."""
+    return QueryResult.from_stats(
+        payload,
+        items=[],
+        result_text=text,
+        result_bytes=result_bytes,
+        elapsed_seconds=payload["elapsed_seconds"],
+    )
+
+
 class SiteClient:
     """Pooled connections to one site server."""
 
@@ -282,28 +294,11 @@ class SiteClient:
         reply, sent, received = self.call(FrameType.EXECUTE, payload, read_timeout)
         if reply.type is not FrameType.RESULT:
             raise TransportError(f"EXECUTE answered with {reply.type.name}")
-        data = reply.payload
-        text = data["result_text"]
-        return (
-            QueryResult(
-                items=[],
-                result_text=text,
-                result_bytes=len(text.encode("utf-8")),
-                elapsed_seconds=data["elapsed_seconds"],
-                parse_seconds=data["parse_seconds"],
-                documents_parsed=data["documents_parsed"],
-                bytes_parsed=data["bytes_parsed"],
-                documents_scanned=data["documents_scanned"],
-                documents_pruned=data["documents_pruned"],
-                cache_hits=data.get("cache_hits", 0),
-                simulated_overhead_seconds=data.get(
-                    "simulated_overhead_seconds", 0.0
-                ),
-                binary_decodes=data.get("binary_decodes", 0),
-            ),
-            sent,
-            received,
+        text = reply.payload["result_text"]
+        result = _decode_result(
+            reply.payload, text, len(text.encode("utf-8"))
         )
+        return result, sent, received
 
     def execute_stream(
         self,
@@ -387,27 +382,10 @@ class SiteClient:
         self._count(sent, received_total)
         with self._lock:
             self.requests += 1
-        data = reply.payload
-        return (
-            QueryResult(
-                items=[],
-                result_text="",
-                result_bytes=data.get("result_bytes", streamed),
-                elapsed_seconds=data["elapsed_seconds"],
-                parse_seconds=data["parse_seconds"],
-                documents_parsed=data["documents_parsed"],
-                bytes_parsed=data["bytes_parsed"],
-                documents_scanned=data["documents_scanned"],
-                documents_pruned=data["documents_pruned"],
-                cache_hits=data.get("cache_hits", 0),
-                simulated_overhead_seconds=data.get(
-                    "simulated_overhead_seconds", 0.0
-                ),
-                binary_decodes=data.get("binary_decodes", 0),
-            ),
-            sent,
-            received_total,
+        result = _decode_result(
+            reply.payload, "", reply.payload.get("result_bytes", streamed)
         )
+        return result, sent, received_total
 
     def create_collection(self, name: str) -> None:
         self.call(FrameType.CREATE_COLLECTION, {"collection": name})

@@ -33,6 +33,7 @@ from typing import Optional
 
 from collections import Counter
 
+from repro.engine.stats import RESULT_COUNTERS
 from repro.errors import ProtocolError
 from repro.net.protocol import (
     DEFAULT_CHUNK_BYTES,
@@ -54,14 +55,7 @@ def _result_payload(result) -> dict:
     return {
         "result_text": result.result_text,
         "elapsed_seconds": result.elapsed_seconds,
-        "parse_seconds": result.parse_seconds,
-        "documents_parsed": result.documents_parsed,
-        "bytes_parsed": result.bytes_parsed,
-        "documents_scanned": result.documents_scanned,
-        "documents_pruned": result.documents_pruned,
-        "binary_decodes": result.binary_decodes,
-        "cache_hits": result.cache_hits,
-        "simulated_overhead_seconds": result.simulated_overhead_seconds,
+        **{name: getattr(result, name) for name in RESULT_COUNTERS},
     }
 
 

@@ -5,9 +5,9 @@ Every migration follows the same store-then-swap state machine the
 republish path (``Publisher(replace=True)``) established:
 
 1. **read** — the fragment's stored documents are read from its primary
-   replica's local engine (the same serialized bytes
-   :func:`repro.net.bootstrap.mirror_site` ships, so answers stay
-   byte-identical);
+   replica's local engine and materialized from their node tables (the
+   same trees whose serialization :func:`repro.net.bootstrap.mirror_site`
+   ships, so answers stay byte-identical);
 2. **store** — the new fragment collections are created and fully
    populated on the chosen target sites (and mirrored to the live TCP
    servers when ``Partix.start_tcp`` is active). The catalog still
@@ -50,7 +50,7 @@ from repro.partix.fragments import (
 )
 from repro.paths.evaluator import evaluate_path
 from repro.paths.predicates import And, Comparison, Or, Predicate, eq, ne
-from repro.xmltext.parser import parse_xml
+from repro.xmltext.serializer import serialize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.store import StoredDocument
@@ -468,7 +468,7 @@ class Rebalancer:
     def _stored_documents(
         self, allocation: FragmentAllocation
     ) -> list["StoredDocument"]:
-        """The fragment's serialized documents, read from its primary."""
+        """The fragment's stored documents, read from its primary."""
         site = self.cluster.site(allocation.site)
         engine = getattr(site.driver, "engine", None)
         if engine is None:
@@ -493,8 +493,7 @@ class Rebalancer:
         holds, which is what makes localization pruning safe.
         """
         parsed = [
-            parse_xml(stored.data.decode("utf-8"), name=stored.name)
-            for stored in documents
+            stored.binary.materialize(name=stored.name) for stored in documents
         ]
         candidates = (
             [path]
@@ -606,8 +605,9 @@ class Rebalancer:
         site_name: str,
         report: MigrationReport,
     ) -> None:
-        """Copy serialized documents to a site (and its TCP twin) and
-        record the new replica's planner statistics."""
+        """Copy documents to a site (and its TCP twin) and record the new
+        replica's planner statistics. The local site stores the tree
+        materialized from each node table; the twin gets its text."""
         site = self.cluster.site(site_name)
         driver = site.driver
         if getattr(driver, "engine", None) is not None and driver.engine.has_collection(
@@ -617,14 +617,13 @@ class Rebalancer:
                 f"site {site_name!r} already stores a collection named"
                 f" {stored_name!r}; refusing to overwrite"
             )
+        trees = [
+            stored.binary.materialize(name=stored.name, origin=stored.origin)
+            for stored in documents
+        ]
         driver.create_collection(stored_name)
-        for stored in documents:
-            driver.store_document(
-                stored_name,
-                stored.data.decode("utf-8"),
-                name=stored.name,
-                origin=stored.origin,
-            )
+        for tree in trees:
+            driver.store_document(stored_name, tree)
         tcp = getattr(self.partix, "tcp", None)
         if tcp is not None:
             client = tcp.clients.get(site_name)
@@ -634,12 +633,9 @@ class Rebalancer:
                     " server; cannot mirror the migrated fragment"
                 )
             client.create_collection(stored_name)
-            for stored in documents:
+            for tree in trees:
                 client.store_document(
-                    stored_name,
-                    stored.data.decode("utf-8"),
-                    name=stored.name,
-                    origin=stored.origin,
+                    stored_name, serialize(tree), name=tree.name, origin=tree.origin
                 )
             report.notes.append(
                 f"mirrored {stored_name!r} to the live tcp server of"

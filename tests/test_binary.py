@@ -1,10 +1,13 @@
 """Binary node tables: encoding, preorder ranges, persistence.
 
-Every stored document carries a compact preorder node table (strings
+Every document is stored as a compact preorder node table (strings
 interned in a per-collection pool), the indexes ingest it directly, and
 engines with a ``storage_dir`` reload the tables from disk without ever
 re-tokenizing XML text.
 """
+
+import json
+import re
 
 import pytest
 
@@ -17,6 +20,7 @@ from repro.datamodel.binary import (
     StringPool,
 )
 from repro.engine import XMLEngine
+from repro.errors import StorageError
 from repro.xmltext import serialize
 
 
@@ -44,15 +48,53 @@ def _sample_document(name="sample.xml"):
     )
 
 
+def _published_documents(monkeypatch):
+    """``(document, stored)`` for every tree ``Partix.publish`` stores in
+    the ItemsSHor, XBenchVer and StoreHyb scenarios at a small scale."""
+    from repro.bench.scenarios import (
+        build_items_scenario,
+        build_store_scenario,
+        build_xbench_scenario,
+    )
+    from repro.engine.store import DocumentStore
+    from repro.partix.publisher import FragMode
+
+    pairs = []
+    store_document = DocumentStore.store_document
+
+    def recording(self, collection_name, document, *args, **kwargs):
+        stored = store_document(self, collection_name, document, *args, **kwargs)
+        pairs.append((document, stored))
+        return stored
+
+    monkeypatch.setattr(DocumentStore, "store_document", recording)
+    build_items_scenario("small", paper_mb=100, fragment_count=4, scale=0.002)
+    build_xbench_scenario(paper_mb=100, scale=0.002)
+    for mode in FragMode:
+        build_store_scenario(paper_mb=100, frag_mode=mode, scale=0.002)
+    monkeypatch.undo()
+    return pairs
+
+
 class TestEncodeDecode:
-    def test_round_trip_preserves_tree_and_node_ids(self):
-        document = _sample_document()
-        pool = StringPool()
-        binary = BinaryXMLDocument.encode(document, pool)
-        restored = BinaryXMLDocument.from_bytes(binary.to_bytes(), pool)
-        materialized = restored.materialize(name=document.name)
-        assert materialized.tree_equal(document, compare_ids=True)
-        assert materialized.name == document.name
+    def test_round_trip_preserves_tree_and_node_ids(self, monkeypatch):
+        sample = _sample_document()
+        published = [
+            (document, stored.binary)
+            for document, stored in _published_documents(monkeypatch)
+        ]
+        assert len(published) > 100
+        pairs = [(sample, BinaryXMLDocument.encode(sample, StringPool()))]
+        for document, binary in pairs + published:
+            restored = BinaryXMLDocument.from_bytes(
+                binary.to_bytes(), binary.pool
+            )
+            materialized = restored.materialize(name=document.name)
+            assert materialized.tree_equal(document, compare_ids=True)
+            assert materialized.name == document.name
+            # Mirroring and migration ship this serialization as the
+            # document's text, so it must reproduce the stored text.
+            assert serialize(materialized) == serialize(document)
 
     def test_kinds_and_interning(self):
         document = _sample_document()
@@ -140,25 +182,46 @@ class TestPersistence:
             use_indexes=False,
         )
         assert "5" in result.result_text
-        assert result.binary_decodes > 0
 
     def test_pool_file_written(self, tmp_path):
         self._store_two(tmp_path)
         assert (tmp_path / "c" / "_pool.bin").exists()
         assert (tmp_path / "c" / "a.xml.pxb").exists()
+        # The node table is the only stored form: no text copies.
+        assert not list(tmp_path.rglob("*.xml"))
 
-    def test_missing_tables_fall_back_to_reencoding(self, tmp_path):
+    def test_reload_keeps_store_order(self, tmp_path):
+        engine = XMLEngine("p", storage_dir=str(tmp_path))
+        names = ["item-9.xml", "item-10.xml", "b.xml", "a.xml"]
+        for name in names:
+            engine.store_document("c", f"<x>{name}</x>", name=name)
+        query = 'collection("c")/x/text()'
+        assert engine.execute(query).result_text == "\n".join(names)
+        reloaded = XMLEngine("p2", storage_dir=str(tmp_path))
+        assert reloaded.execute(query).result_text == "\n".join(names)
+
+    @pytest.mark.parametrize(
+        "damage, culprit",
+        [
+            (lambda d: (d / "a.xml.pxb").unlink(), "a.xml.pxb"),
+            (
+                lambda d: (d / "b.xml.pxb").write_bytes(
+                    (d / "b.xml.pxb").read_bytes()[:20]
+                ),
+                "b.xml.pxb",
+            ),
+            (lambda d: (d / "_pool.bin").write_bytes(b"junk"), "_pool.bin"),
+            (
+                lambda d: (d / "_meta.json").write_text(
+                    json.dumps({"a.xml": {"origin": "a.xml"}})
+                ),
+                "_meta.json",
+            ),
+        ],
+        ids=["missing-table", "truncated-table", "corrupt-pool", "meta-without-size"],
+    )
+    def test_reload_rejects_bad_files(self, tmp_path, damage, culprit):
         self._store_two(tmp_path)
-        for table in (tmp_path / "c").glob("*.pxb"):
-            table.unlink()
-        (tmp_path / "c" / "_pool.bin").unlink()
-        reloaded = XMLEngine("p3", storage_dir=str(tmp_path))
-        result = reloaded.execute(
-            'for $i in collection("c")/Store/Items/Item'
-            " where $i/Code = 5 return $i/Code",
-            use_indexes=False,
-        )
-        assert "5" in result.result_text
-        # Old on-disk stores hold raw bytes only: the documents parse
-        # once and the indexes still ingest from a freshly built table.
-        assert reloaded.store.collection("c").values.lookup("Code", "5")
+        damage(tmp_path / "c")
+        with pytest.raises(StorageError, match=re.escape(culprit)):
+            XMLEngine("p3", storage_dir=str(tmp_path))

@@ -192,6 +192,25 @@ class TestCli:
             "pushdown_not_slower": True,
         }
 
+    @pytest.mark.parametrize(
+        "payload, expected",
+        [
+            ({"byte_identical": True, "checks": {"a": True}}, 0),
+            ({"byte_identical": True, "checks": {"a": True, "b": False}}, 1),
+            ({"byte_identical": False}, 1),
+        ],
+        ids=["all-true", "false-check", "answers-differ"],
+    )
+    def test_exit_code_gates_on_payload(
+        self, monkeypatch, tmp_path, capsys, payload, expected
+    ):
+        monkeypatch.setitem(FIGURES, "7a", lambda *args: payload)
+        path = tmp_path / "stub.json"
+        exit_code = main(["--figure", "7a", "--json", str(path)])
+        assert exit_code == expected
+        # The payload is written either way, so CI can upload it.
+        assert path.exists()
+
     def test_json_flag_rejected_for_figures_without_payload(self, tmp_path):
         with pytest.raises(SystemExit):
             main(

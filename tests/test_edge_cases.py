@@ -125,19 +125,12 @@ class TestFailureInjection:
     def test_malformed_stored_document_surfaces_clearly(self):
         engine = XMLEngine("f")
         engine.create_collection("c")
-        stored = (
-            __import__("repro.engine.store", fromlist=["StoredDocument"])
-            .StoredDocument("bad.xml", b"<a><unclosed></a>")
-        )
-        engine.store.collection("c").put(
-            stored,
-            document=doc(elem("placeholder")),  # skip ingest-time parse
-        )
-        # Drop the binary table so access takes the text-parse fallback
-        # (the situation of an old on-disk store holding corrupt bytes).
-        stored.binary = None
+        # Text is parsed once, when it is stored: a malformed document is
+        # rejected there and never enters the collection.
         with pytest.raises(XMLSyntaxError):
-            engine.execute('collection("c")/a')
+            engine.store_document("c", b"<a><unclosed></a>", name="bad.xml")
+        assert engine.document_count("c") == 0
+        assert engine.execute('collection("c")/a').result_text == ""
 
     def test_publishing_to_missing_site_fails(self, items_collection):
         from repro.partix import DataPublisher, FragmentAllocation

@@ -16,6 +16,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.paths import And, Or, contains, empty, eq, exists, ne
+from repro.xmltext import serialize
 
 
 def make_item(i, section, description):
@@ -65,7 +66,8 @@ class TestDocumentStore:
         store.create_collection("c")
         store.store_document("c", doc(elem("a", "x"), name="d.xml"))
         loaded = store.load_document("c", "d.xml")
-        assert loaded.data == b"<a>x</a>"
+        assert serialize(loaded.binary.materialize()) == "<a>x</a>"
+        assert loaded.size == len(b"<a>x</a>")
         assert loaded.origin == "d.xml"
 
     def test_store_text_document(self):
@@ -103,7 +105,8 @@ class TestDocumentStore:
         reloaded = DocumentStore(storage_dir=tmp_path)
         assert reloaded.has_collection("c")
         loaded = reloaded.load_document("c", "d.xml")
-        assert loaded.data == b"<a>x</a>"
+        assert serialize(loaded.binary.materialize()) == "<a>x</a>"
+        assert loaded.size == len(b"<a>x</a>")
         assert loaded.origin == "orig.xml"
 
     def test_disk_drop_removes_files(self, tmp_path):

@@ -310,6 +310,14 @@ class TestPartixTcp:
         partix, _ = _published_partix()
         first = partix.start_tcp()
         assert partix.start_tcp() is first
+        # Each twin was mirrored from its site's node tables: the text
+        # it received has exactly the stored sizes.
+        for site in partix.cluster.sites():
+            engine = site.driver.engine
+            client = first.clients[site.name]
+            for name in engine.collection_names():
+                assert client.collection_bytes(name) == engine.collection_bytes(name)
+                assert client.document_count(name) == engine.document_count(name)
         processes = [site.process for site in first.sites.values()]
         partix.stop_tcp()
         assert partix.tcp is None

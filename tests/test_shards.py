@@ -145,7 +145,7 @@ class TestEngineByteIdentity:
                 default_collection="c",
                 parallel_degree=4,
             )
-            assert result.binary_decodes == 16  # the serial path ran
+            assert result.documents_parsed == 16  # the serial path ran
         finally:
             engine.close()
 
@@ -156,7 +156,6 @@ class TestShardStatsExactSum:
     EXACT_FIELDS = [
         "documents_parsed",
         "bytes_parsed",
-        "binary_decodes",
         "cache_hits",
         "documents_scanned",
         "documents_pruned",
@@ -238,9 +237,8 @@ class TestForkInheritance:
             )
             # Every access is either a worker-cache hit or a decode —
             # never both, never neither.
-            assert first.cache_hits + first.binary_decodes == 16
-            assert second.cache_hits + second.binary_decodes == 16
-            assert second.documents_parsed == second.binary_decodes
+            assert first.cache_hits + first.documents_parsed == 16
+            assert second.cache_hits + second.documents_parsed == 16
         finally:
             engine.close()
 
@@ -252,7 +250,7 @@ class TestForkInheritance:
                 result = engine.execute(
                     query, default_collection="c", parallel_degree=2
                 )
-                assert result.binary_decodes == 16
+                assert result.documents_parsed == 16
                 assert result.cache_hits == 0
         finally:
             engine.close()
