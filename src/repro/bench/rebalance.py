@@ -22,7 +22,7 @@ pre-computed baseline, so the latency bend is measured on *correct*
 answers only; one incorrect answer fails the bench. The workload is
 restricted to order-stable query classes (point lookups, per-section
 selections, aggregates) because a horizontal split legitimately reorders
-multi-fragment concatenations — the fuzz ``--migrate`` oracle covers
+multi-fragment concatenations — the fuzz ``migrate`` oracle covers
 those with its line-multiset policy.
 
 The JSON payload (``BENCH_rebalance.json`` in CI) records the migration

@@ -11,14 +11,19 @@ standing randomized oracle:
   fragmentation designs over them, and random queries from the supported
   XQuery subset, all derived deterministically from a :class:`CaseSpec`;
 * :mod:`repro.fuzz.runner` — the differential oracle: each query runs
-  centralized and against the fragmented repository in both execution
-  modes, answers are compared, and the §3.3 correctness rules are
-  re-verified empirically;
+  centralized and against the fragmented repository in every requested
+  execution mode, answers are compared, and the §3.3 correctness rules
+  are re-verified empirically. :data:`~repro.fuzz.runner.ORACLES` is the
+  oracle table — ``default``, ``indexes``, ``shards``, ``kill-site`` and
+  ``migrate`` — each row a set of reruns, a fixture change and an
+  optional step between two passes over one compare loop;
 * :mod:`repro.fuzz.minimize` — a greedy case minimizer that shrinks a
   failing (collection, design, query) triple to a minimal reproducer and
-  writes it as a ready-to-run pytest file under ``tests/repros/``;
-* ``python -m repro.fuzz --seed N --iterations K`` — the CLI, emitting a
-  JSON summary (the CI ``fuzz-smoke`` job runs it on every push).
+  writes it as a ready-to-run pytest file under ``tests/repros/`` that
+  replays the failing oracle and modes;
+* ``python -m repro.fuzz --seed N --iterations K [--oracle NAME]`` — the
+  CLI, emitting a JSON summary (the CI ``fuzz`` job runs one matrix row
+  per oracle and mode set on every push).
 """
 
 from repro.fuzz.generator import CaseSpec, GeneratedCase, generate_case, spec_for_iteration

@@ -2,8 +2,11 @@
 
 Writes the JSON summary to stdout (or ``--output``), a human-readable
 digest to stderr, and exits non-zero when the oracle found mismatches —
-the contract the CI ``fuzz-smoke`` job relies on. ``--replay`` re-runs a
-single spec (as emitted in reproducer files) instead of a whole session.
+the contract the CI ``fuzz`` job relies on. ``--oracle NAME`` picks the
+row of :data:`repro.fuzz.runner.ORACLES` every case runs under and
+``--modes`` the execution modes compared. ``--replay`` re-runs a single
+spec (as emitted in reproducer files, together with their ``--oracle``
+and ``--modes``) instead of a whole session.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from repro.fuzz.generator import CaseSpec
 from repro.fuzz.runner import (
     ALL_EXECUTION_MODES,
     EXECUTION_MODES,
+    ORACLES,
+    oracle_for,
     run_case,
     run_fuzz,
 )
@@ -69,59 +74,30 @@ def main(argv: list[str] | None = None) -> int:
         % "/".join(ALL_EXECUTION_MODES),
     )
     parser.add_argument(
-        "--kill-site",
-        action="store_true",
-        help="failover oracle: replicate every fragment on a mirror"
-        " site, kill one primary's server mid-case, and require the"
-        " answers to still converge via the replica (needs a tcp mode)",
-    )
-    parser.add_argument(
-        "--migrate",
-        action="store_true",
-        help="online-rebalancing oracle: run every case once, fire a"
-        " live split/move migration onto a spare site, run it again —"
-        " answers must converge on both catalog versions",
-    )
-    parser.add_argument(
-        "--indexes",
-        action="store_true",
-        help="index-pushdown oracle: re-run every compared query per"
-        " mode with the per-query index override forced on and off —"
-        " all three answers must be byte-identical",
-    )
-    parser.add_argument(
-        "--shards",
-        action="store_true",
-        help="intra-site parallelism oracle: give every site a worker"
-        " pool and re-run every compared query per mode with the shard"
-        " degree forced serial and forced sharded — all three answers"
-        " must be byte-identical",
+        "--oracle",
+        default="default",
+        choices=tuple(ORACLES),
+        help="oracle table row every case runs under (default:"
+        " %(default)s): indexes/shards re-run each query with indexes or"
+        " shard degrees forced, kill-site kills a replicated site between"
+        " two passes (needs a tcp mode), migrate fires a live migration"
+        " between two passes",
     )
     options = parser.parse_args(argv)
 
     modes = tuple(
         mode.strip() for mode in options.modes.split(",") if mode.strip()
     )
-    unknown = [mode for mode in modes if mode not in ALL_EXECUTION_MODES]
-    if not modes or unknown:
-        parser.error(
-            f"--modes must name at least one of"
-            f" {', '.join(ALL_EXECUTION_MODES)}"
-            + (f" (got {', '.join(unknown)})" if unknown else "")
-        )
-    if options.kill_site and not any(mode.startswith("tcp") for mode in modes):
-        parser.error("--kill-site requires a tcp mode in --modes")
-    if options.kill_site and options.migrate:
-        parser.error("--kill-site and --migrate are mutually exclusive")
+    try:
+        oracle_for(options.oracle, modes)
+    except ValueError as error:
+        parser.error(str(error))
 
     if options.replay is not None:
         outcome = run_case(
             CaseSpec.from_dict(json.loads(options.replay)),
             modes=modes,
-            kill_site=options.kill_site,
-            migrate=options.migrate,
-            indexes=options.indexes,
-            shards=options.shards,
+            oracle=options.oracle,
         )
         payload = outcome.to_dict()
         ok = outcome.ok
@@ -133,10 +109,7 @@ def main(argv: list[str] | None = None) -> int:
             repro_dir=None if options.no_repros else options.repro_dir,
             max_failures=options.max_failures,
             modes=modes,
-            kill_site=options.kill_site,
-            migrate=options.migrate,
-            indexes=options.indexes,
-            shards=options.shards,
+            oracle=options.oracle,
         )
         ok = payload["ok"]
         _print_digest(payload)
@@ -166,17 +139,14 @@ def _print_digest(summary: dict) -> None:
         (f"composition {kind}", count)
         for kind, count in sorted(summary["composition_kinds"].items())
     )
-    if summary.get("migrate"):
+    if summary["oracle"] == "migrate":
         rows.append(("migrations completed", summary["migrations_completed"]))
     rows.append(("failures", len(summary["failures"])))
     title = (
         f"repro.fuzz — seed {summary['seed']},"
         f" {summary['iterations']} iterations,"
-        f" modes {'/'.join(summary['execution_modes'])}"
-        + (" [kill-site]" if summary.get("kill_site") else "")
-        + (" [migrate]" if summary.get("migrate") else "")
-        + (" [indexes]" if summary.get("indexes") else "")
-        + (" [shards]" if summary.get("shards") else "")
+        f" modes {'/'.join(summary['execution_modes'])},"
+        f" oracle {summary['oracle']}"
     )
     print(format_kv_table(title, rows), file=sys.stderr)
     for failure in summary["failures"]:

@@ -13,9 +13,11 @@ mismatch kinds) is preserved:
    simplify the ``return`` — accepting any move that still fails the same
    way, until no move applies (a greedy fixpoint).
 
-:func:`write_repro` then renders the minimal spec as a ready-to-run
-pytest file under ``tests/repros/`` so the failure becomes a committed
-regression test.
+Every attempt runs under the oracle and execution modes recorded in the
+failing :class:`CaseOutcome`. :func:`write_repro` then renders the
+minimal spec as a ready-to-run pytest file under ``tests/repros/`` that
+replays the same oracle and modes, so the failure becomes a committed
+regression test of the configuration that actually failed.
 """
 
 from __future__ import annotations
@@ -38,22 +40,20 @@ def minimize_spec(
     outcome: CaseOutcome,
     partix_factory: Optional[Callable] = None,
     budget: int = DEFAULT_BUDGET,
-    modes: Optional[tuple] = None,
-    kill_site: bool = False,
-    migrate: bool = False,
-    indexes: bool = False,
-    shards: bool = False,
 ) -> CaseOutcome:
     """Shrink ``spec`` greedily while it keeps failing the same way.
 
+    Every attempt re-runs the oracle and modes recorded in ``outcome``.
     Returns the outcome of the smallest reproducing spec found (the
     original ``outcome`` if nothing smaller reproduces). The failure
     fingerprint is :meth:`CaseOutcome.mismatch_kinds`; a shrunk case must
     fail with the same kinds to be accepted — a *different* failure is a
-    different bug and would make the reproducer lie about its origin.
+    different bug and would make the reproducer lie about its origin. A
+    shrink that crashes is rejected too, and its exception is recorded
+    in the returned outcome's ``notes``.
     """
-    fingerprint = outcome.mismatch_kinds()
     best_spec, best_outcome = spec, outcome
+    crashes: list[str] = []
     attempts = 0
 
     # Pin the failing query first: it usually removes 80% of the case.
@@ -62,10 +62,7 @@ def minimize_spec(
         if failing:
             candidate = replace(best_spec, query_index=failing[0])
             attempts += 1
-            reproduced = _reproduces(
-                candidate, fingerprint, partix_factory, modes, kill_site,
-                migrate, indexes, shards,
-            )
+            reproduced = _reproduces(candidate, outcome, partix_factory, crashes)
             if reproduced is not None:
                 best_spec, best_outcome = candidate, reproduced
 
@@ -76,61 +73,46 @@ def minimize_spec(
             if attempts >= budget:
                 break
             attempts += 1
-            reproduced = _reproduces(
-                candidate, fingerprint, partix_factory, modes, kill_site,
-                migrate, indexes, shards,
-            )
+            reproduced = _reproduces(candidate, outcome, partix_factory, crashes)
             if reproduced is not None:
                 best_spec, best_outcome = candidate, reproduced
                 progress = True
                 break  # restart from the new, smaller spec
+    best_outcome.notes.extend(crashes)
     return best_outcome
 
 
 def _reproduces(
     spec: CaseSpec,
-    fingerprint: tuple[str, ...],
+    failing: CaseOutcome,
     partix_factory: Optional[Callable],
-    modes: Optional[tuple] = None,
-    kill_site: bool = False,
-    migrate: bool = False,
-    indexes: bool = False,
-    shards: bool = False,
+    crashes: list[str],
 ) -> Optional[CaseOutcome]:
     try:
-        if modes is None:
-            outcome = run_case(
-                spec,
-                partix_factory=partix_factory,
-                kill_site=kill_site,
-                migrate=migrate,
-                indexes=indexes,
-                shards=shards,
-            )
-        else:
-            outcome = run_case(
-                spec,
-                partix_factory=partix_factory,
-                modes=modes,
-                kill_site=kill_site,
-                migrate=migrate,
-                indexes=indexes,
-                shards=shards,
-            )
-    except Exception:  # noqa: BLE001 — a crashing shrink is just rejected
+        outcome = run_case(
+            spec,
+            partix_factory=partix_factory,
+            modes=failing.modes,
+            oracle=failing.oracle,
+        )
+    except Exception as error:  # noqa: BLE001 — a crashing shrink is rejected
+        crashes.append(
+            f"shrink rejected, it crashed: {type(error).__name__}: {error}"
+            f" (spec {json.dumps(spec.to_dict(), sort_keys=True)})"
+        )
         return None
-    if not outcome.ok and outcome.mismatch_kinds() == fingerprint:
+    if not outcome.ok and outcome.mismatch_kinds() == failing.mismatch_kinds():
         return outcome
     return None
 
 
 _REPRO_TEMPLATE = '''"""Minimized fuzz reproducer (auto-written by repro.fuzz).
 
-Failure fingerprint: {kinds}
+Failure fingerprint: {kinds} (oracle {oracle}, modes {modes_csv})
 {details}
 Regenerate / rerun by hand:
 
-    PYTHONPATH=src python -m repro.fuzz --replay '{spec_json}'
+    PYTHONPATH=src python -m repro.fuzz --oracle {oracle} --modes {modes_csv} --replay '{spec_json}'
 """
 
 from repro.fuzz import CaseSpec, run_case
@@ -139,7 +121,7 @@ SPEC = CaseSpec.from_dict({spec_dict})
 
 
 def test_fuzz_repro_{digest}():
-    outcome = run_case(SPEC)
+    outcome = run_case(SPEC, oracle={oracle!r}, modes={modes!r})
     assert outcome.ok, "\\n".join(
         f"{{m.kind}}: {{m.detail}}" for m in outcome.mismatches
     )
@@ -149,17 +131,23 @@ def test_fuzz_repro_{digest}():
 def write_repro(outcome: CaseOutcome, directory: str) -> str:
     """Write ``outcome`` as a pytest file; returns the path.
 
-    The file name is a stable digest of the spec, so re-running the same
-    fuzz session overwrites rather than accumulates.
+    The test replays the oracle and modes the failure was found under.
+    The file name is a stable digest of the spec, oracle and modes, so
+    re-running the same fuzz session overwrites rather than accumulates.
     """
     spec_dict = outcome.spec.to_dict()
     spec_json = json.dumps(spec_dict, sort_keys=True)
-    digest = hashlib.sha1(spec_json.encode("utf-8")).hexdigest()[:10]
+    digest = hashlib.sha1(
+        f"{spec_json} {outcome.oracle} {outcome.modes}".encode("utf-8")
+    ).hexdigest()[:10]
     details = "".join(
         f"  {m.kind}: {m.detail}\n" for m in outcome.mismatches[:3]
     )
     body = _REPRO_TEMPLATE.format(
         kinds=", ".join(outcome.mismatch_kinds()),
+        oracle=outcome.oracle,
+        modes=tuple(outcome.modes),
+        modes_csv=",".join(outcome.modes),
         details=details,
         spec_json=spec_json,
         spec_dict=json.dumps(spec_dict, indent=8).replace("null", "None")

@@ -10,12 +10,15 @@ mirrored over the wire and sub-queries travel through sockets;
 ``tcp-stream`` runs the same processes through the streamed RESULT_CHUNK
 pipeline with an adversarially tiny chunk size, so chunk boundaries fall
 inside multi-byte UTF-8 characters and the incremental composer's answer
-must still be byte-identical). Two comparisons apply:
+must still be byte-identical). Every query faces the shared checks:
 
 * **mode** — the composed answers of every execution mode must be
   byte-identical, always. Plan-order composition is a hard contract:
   the middleware aligns partial results by plan index no matter in which
-  order the dispatcher's lanes complete.
+  order the dispatcher's lanes complete. The contract is also checked
+  directly: a concat answer must equal the plan-order composition of the
+  round's *own* per-lane partial results, because a dispatcher that
+  mis-aligns completed sub-queries corrupts every mode identically.
 * **answer** — the fragmented answer must match the centralized one.
   Byte-identical when the composition is an aggregate or a
   reconstruction, or when the plan has at most one sub-query; for
@@ -23,23 +26,39 @@ must still be byte-identical). Two comparisons apply:
   line multiset, because fragments legitimately interleave the document
   order of the centralized repository (same policy as
   ``bench.scenarios``).
-
-Two more oracles guard the planning layer itself:
-
-* **plan-order composition** (reported as kind ``mode``) — a concat
-  answer must equal the plan-order composition of the round's *own*
-  per-lane partial results; a dispatcher that mis-aligns completed
-  sub-queries corrupts every mode identically now that all modes share
-  the one plan executor, so the contract is checked directly instead of
-  by cross-mode comparison alone.
 * **plan** — planning must be deterministic (two ``explain`` calls
   render the identical physical plan) and the rendered plan must
   round-trip through its JSON-serialized form.
+* **error** — a query that raises centrally must raise the same error
+  class against the fragmented repository, and vice versa.
+* **correctness** — the design must be complete, disjoint and
+  reconstructible over the case's collection (checked before any query).
 
-Execution errors must be symmetric: a query that raises centrally must
-raise the same error class against the fragmented repository, and vice
-versa — an asymmetric error is reported as a mismatch of kind
-``error``.
+A case runs under exactly one row of :data:`ORACLES`. A row adds, on
+top of the shared checks, any of: *reruns* — ``Partix.execute`` keyword
+sets each compared query is re-run with, once per mode, whose answers
+must byte-match that mode's default run (the plan and the lane order are
+unchanged, so not even concat interleaving may differ); a *fixture
+change*; and a *step* between two passes over the queries, judged by
+the row's *check* after the second pass. A rerun or check failure is
+reported under the row's own mismatch kind.
+
+=========  ========  ===================================================
+oracle     kind      adds
+=========  ========  ===================================================
+default    —         nothing: one pass of the shared checks
+indexes    index     reruns with ``use_indexes=True`` and ``False``
+shards     shard     ``shard_workers=2`` on every site; reruns with
+                     ``shard_degree=1`` and ``2``
+kill-site  failover  a ``mirror`` site with a replica of every fragment
+                     (needs a tcp mode); step: kill ``site0``'s server;
+                     check: some tcp sub-query failed over or the site
+                     was ejected
+migrate    migrate   an empty ``spare`` site and a plan cache; step:
+                     split a fragment (else move one) onto the spare
+                     site; check: the migration completed and bumped the
+                     catalog version
+=========  ========  ===================================================
 """
 
 from __future__ import annotations
@@ -54,16 +73,21 @@ from repro.fuzz.generator import CaseSpec, GeneratedCase, generate_case, spec_fo
 from repro.partix.catalog import FragmentAllocation
 from repro.partix.correctness import verify_fragmentation
 from repro.partix.middleware import Partix, PartixResult
+from repro.plan.cache import PlanCache
 from repro.plan.executor import ExecutionMode
 from repro.plan.explain import plan_from_dict
 
 CENTRAL_SITE = "central"
-#: Extra site holding one replica of every fragment in ``kill_site``
-#: mode, so killing a primary's server leaves a live copy reachable.
+#: Extra site holding one replica of every fragment under the
+#: ``kill-site`` oracle, so killing a primary's server leaves a live
+#: copy reachable.
 MIRROR_SITE = "mirror"
-#: Extra empty site added in ``migrate`` mode: the mid-run migration
-#: splits or moves a fragment onto it, so the second pass exercises a
-#: placement the first pass never saw.
+#: The primary whose server the ``kill-site`` oracle kills: it hosts the
+#: first fragment, whose only other copy is on the mirror site.
+VICTIM_SITE = "site0"
+#: Extra empty site added under the ``migrate`` oracle: the mid-run
+#: migration splits or moves a fragment onto it, so the second pass
+#: exercises a placement the first pass never saw.
 SPARE_SITE = "spare"
 EXECUTION_MODES = ("simulated", "threads")
 ALL_EXECUTION_MODES = ("simulated", "threads", "tcp", "tcp-stream")
@@ -80,7 +104,7 @@ ADVERSARIAL_CHUNK_BYTES = 7
 class Mismatch:
     """One oracle violation observed while running a case."""
 
-    kind: str  # "answer" | "mode" | "plan" | "correctness" | "error" | "failover" | "migrate" | "index" | "shard"
+    kind: str  # "answer" | "mode" | "plan" | "correctness" | "error", or an ORACLES row's kind
     detail: str
     query_index: Optional[int] = None
     query: Optional[str] = None
@@ -96,9 +120,11 @@ class Mismatch:
 
 @dataclass
 class CaseOutcome:
-    """Everything the oracle observed for one case."""
+    """Everything the oracle observed for one case, and how it ran."""
 
     spec: CaseSpec
+    oracle: str = "default"
+    modes: tuple[str, ...] = EXECUTION_MODES
     mismatches: list[Mismatch] = field(default_factory=list)
     queries_run: int = 0
     queries_skipped: int = 0
@@ -114,9 +140,20 @@ class CaseOutcome:
         """Stable fingerprint used by the minimizer to match failures."""
         return tuple(sorted({m.kind for m in self.mismatches}))
 
+    def add_mismatch(
+        self,
+        kind: str,
+        detail: str,
+        index: Optional[int] = None,
+        query: Optional[str] = None,
+    ) -> None:
+        self.mismatches.append(Mismatch(kind, detail, index, query))
+
     def to_dict(self) -> dict:
         return {
             "spec": self.spec.to_dict(),
+            "oracle": self.oracle,
+            "modes": list(self.modes),
             "ok": self.ok,
             "queries_run": self.queries_run,
             "queries_skipped": self.queries_skipped,
@@ -125,6 +162,33 @@ class CaseOutcome:
             "mismatches": [m.to_dict() for m in self.mismatches],
             "notes": self.notes,
         }
+
+
+#: One pass's fragmented results: per compared query, results by mode.
+PassResults = list[dict[str, PartixResult]]
+
+
+@dataclass(frozen=True)
+class Oracle:
+    """One row of :data:`ORACLES` (see the module docstring)."""
+
+    #: Mismatch kind of the row's reruns and check (None: shared only).
+    kind: Optional[str] = None
+    #: ``Partix.execute`` kwargs; each rerun must byte-match the default.
+    reruns: tuple[dict, ...] = ()
+    shard_workers: int = 0
+    #: Replicate every fragment on :data:`MIRROR_SITE`.
+    mirror: bool = False
+    #: Add :data:`SPARE_SITE` after publication, and a plan cache.
+    spare: bool = False
+    needs_tcp: bool = False
+    #: Runs between two passes; its return value is handed to ``check``.
+    step: Optional[Callable[[Partix, GeneratedCase, CaseOutcome], object]] = None
+    #: ``(partix, step value, first pass, second pass, outcome)`` → the
+    #: detail of a mismatch, or None when the step did what it should.
+    check: Optional[
+        Callable[[Partix, object, PassResults, PassResults, CaseOutcome], Optional[str]]
+    ] = None
 
 
 def _diff_snippet(left: str, right: str, limit: int = 240) -> str:
@@ -148,285 +212,64 @@ def _signature(text: str) -> tuple[str, ...]:
     return tuple(sorted(line for line in text.splitlines() if line.strip()))
 
 
-def run_case(
-    spec: CaseSpec,
-    case: Optional[GeneratedCase] = None,
-    partix_factory: Optional[Callable[[Cluster], Partix]] = None,
-    modes: Sequence[str] = EXECUTION_MODES,
-    kill_site: bool = False,
-    migrate: bool = False,
-    indexes: bool = False,
-    shards: bool = False,
-) -> CaseOutcome:
-    """Generate (unless given) and differentially execute one case.
-
-    ``indexes`` is the index-pushdown oracle: every compared query is
-    additionally run twice per mode with the per-query index override
-    forced on and forced off (``Partix.execute(use_indexes=...)``), and
-    the three answers — index probes everywhere, full scans everywhere,
-    and the plan's own per-lane choice — must be byte-identical (same
-    plan, same lane order, so not even concat interleaving may differ).
-    A divergence is reported as a mismatch of kind ``index``.
-
-    ``shards`` is the intra-site parallelism oracle: the cluster is
-    built with a per-site worker pool (``shard_workers=2``) and every
-    compared query is additionally run twice per mode with the per-lane
-    shard degree forced serial and forced sharded
-    (``Partix.execute(shard_degree=...)``); both answers must reproduce
-    the default run's byte-for-byte (a site may decline sharding — a
-    non-shardable query still forces the serial path — but the answer
-    may never change). A divergence is a mismatch of kind ``shard``.
-
-    ``partix_factory`` lets tests swap in a middleware with a tampered
-    dispatcher — that is how the injected-bug acceptance test proves the
-    oracle actually bites. ``modes`` selects the fragmented execution
-    modes to compare; including ``"tcp"`` spawns real site-server
-    processes for the case (mirrored over the wire, reaped afterwards).
-
-    ``kill_site`` is the failover oracle (requires a tcp mode): every
-    fragment is published twice — primary on its round-robin site plus a
-    replica on a dedicated ``mirror`` site — the queries run once
-    healthy, then the first primary's server process is killed and the
-    same queries run again. The answers must still converge to the
-    centralized baseline through the replica: an asymmetric error or a
-    differing answer is caught by the standard oracles, and if the dead
-    site was targeted but no sub-query ever failed over (nor was the
-    site ejected by health tracking) a mismatch of kind ``failover`` is
-    reported. Killing between the passes means the coordinator's pooled
-    sockets to the victim die mid-use — the retry loop discovers the
-    corpse on a live connection, not on a fresh connect.
-
-    ``migrate`` is the online-rebalancing oracle (any execution mode):
-    the queries run once against the published design, then a live
-    migration fires — the first splittable horizontal fragment is split
-    onto a dedicated empty ``spare`` site, falling back to moving the
-    first fragment there — and the same queries run again against the
-    new catalog version. Both passes face the standard oracles, so at
-    least one query is compared on *each* catalog version and the
-    answers must keep converging to the centralized baseline; a
-    migration that fails to complete (or to bump the catalog version) is
-    reported as a mismatch of kind ``migrate``. A plan cache is
-    installed so the version bump also exercises cache invalidation.
-    """
-    outcome = CaseOutcome(spec=spec)
-    if kill_site and migrate:
-        raise ValueError(
-            "kill_site and migrate are mutually exclusive oracles:"
-            " a mid-run migration needs every site alive"
-        )
-    if case is None:
-        case = generate_case(spec)
-    outcome.notes.extend(case.notes)
-
-    parsed_modes = [ExecutionMode.parse(mode) for mode in modes]
-    if kill_site and not any(mode.transport == "tcp" for mode in parsed_modes):
-        raise ValueError(
-            "kill_site=True needs a tcp execution mode: killing a site"
-            " process only perturbs the networked transports"
-        )
-
-    report = verify_fragmentation(case.design, case.collection)
-    if not report.ok:
-        for violation in report.violations:
-            outcome.mismatches.append(
-                Mismatch(kind="correctness", detail=violation)
-            )
-        return outcome
-
-    shard_workers = 2 if shards else 0
-    cluster = Cluster.with_sites(
-        len(case.design), prefix="site", shard_workers=shard_workers
+def _kill_victim(partix: Partix, case: GeneratedCase, outcome: CaseOutcome) -> str:
+    """Kill :data:`VICTIM_SITE`'s server. Between the passes, so the
+    coordinator's pooled sockets to it die mid-use: the retry loop finds
+    the corpse on a live connection, not on a fresh connect."""
+    partix.tcp.kill(VICTIM_SITE)
+    outcome.notes.append(
+        f"killed tcp site {VICTIM_SITE!r} between passes"
+        " (pooled sockets die mid-use)"
     )
-    if kill_site:
-        cluster.add(Site(MIRROR_SITE, shard_workers=shard_workers))
-    partix = (
-        partix_factory(cluster) if partix_factory is not None else Partix(cluster)
-    )
-    allocations = None
-    victim = None
-    if kill_site:
-        # Mirror the publisher's default round-robin placement for the
-        # primaries (the mirror site must not absorb one), then add one
-        # replica of every fragment on the mirror site. Victim: the
-        # first primary — killing it leaves each of its fragments with
-        # exactly one live copy.
-        primaries = [f"site{index}" for index in range(len(case.design))]
-        allocations = []
-        for index, fragment in enumerate(case.design.fragments):
-            allocations.append(
-                FragmentAllocation(
-                    fragment=fragment.name,
-                    site=primaries[index % len(primaries)],
-                    stored_collection=fragment.name,
-                )
-            )
-            allocations.append(
-                FragmentAllocation(
-                    fragment=fragment.name,
-                    site=MIRROR_SITE,
-                    stored_collection=fragment.name,
-                )
-            )
-        victim = primaries[0]
-    partix.publish(
-        case.collection,
-        case.design,
-        allocations=allocations,
-        frag_mode=case.frag_mode,
-    )
-    if migrate:
-        # Added *after* publish so the round-robin placement ignores it:
-        # the spare site is empty until the mid-run migration fills it.
-        cluster.add(Site(SPARE_SITE))
-    cluster.add(Site(CENTRAL_SITE))
-    partix.publish_centralized(case.collection, CENTRAL_SITE)
-
-    try:
-        if any(mode.streaming for mode in parsed_modes):
-            # Adversarial chunking: see ADVERSARIAL_CHUNK_BYTES. Must be
-            # set before start_tcp so clients negotiate it.
-            partix.chunk_bytes = ADVERSARIAL_CHUNK_BYTES
-        if any(mode.transport == "tcp" for mode in parsed_modes):
-            partix.start_tcp()
-        if migrate:
-            _run_migrate_case(
-                partix, case, outcome, modes, indexes=indexes, shards=shards
-            )
-            return outcome
-        if not kill_site:
-            for index, query in case.active_queries:
-                _run_query(
-                    partix, index, query, outcome, modes,
-                    indexes=indexes, shards=shards,
-                )
-            return outcome
-
-        tcp_modes = [
-            mode
-            for mode, parsed in zip(modes, parsed_modes)
-            if parsed.transport == "tcp"
-        ]
-        # Pass 1 — healthy run: standard oracles, and note whether any
-        # tcp plan actually routed a lane to the victim (pruning can
-        # legitimately skip its fragment for some queries).
-        victim_targeted = False
-        for index, query in case.active_queries:
-            results = _run_query(
-                partix, index, query, outcome, modes,
-                indexes=indexes, shards=shards,
-            )
-            for mode in tcp_modes:
-                result = results.get(mode)
-                if result is not None and result.plan is not None and any(
-                    subquery.site == victim
-                    for subquery in result.plan.subqueries
-                ):
-                    victim_targeted = True
-
-        partix.tcp.kill(victim)
-        outcome.notes.append(
-            f"killed tcp site {victim!r} between passes"
-            " (pooled sockets die mid-use)"
-        )
-
-        # Pass 2 — the victim is dead: answers must still converge to
-        # the centralized baseline through the mirror replica.
-        failovers = 0
-        for index, query in case.active_queries:
-            results = _run_query(
-                partix, index, query, outcome, modes,
-                indexes=indexes, shards=shards,
-            )
-            failovers += sum(
-                results[mode].failover_count
-                for mode in tcp_modes
-                if mode in results
-            )
-        outcome.notes.append(f"replica failovers observed: {failovers}")
-        if (
-            victim_targeted
-            and failovers == 0
-            and partix.site_health is not None
-            and not partix.site_health.is_ejected(victim)
-        ):
-            outcome.mismatches.append(
-                Mismatch(
-                    kind="failover",
-                    detail=(
-                        f"site {victim!r} was killed while hosting primary"
-                        " lanes, yet no tcp sub-query failed over to its"
-                        " replica and the site was never ejected"
-                    ),
-                )
-            )
-    finally:
-        partix.stop_tcp()
-    return outcome
+    return VICTIM_SITE
 
 
-def _run_migrate_case(
+def _require_failover(
     partix: Partix,
-    case: GeneratedCase,
+    victim: str,
+    first: PassResults,
+    second: PassResults,
     outcome: CaseOutcome,
-    modes: Sequence[str],
-    indexes: bool = False,
-    shards: bool = False,
-) -> None:
-    """Two differential passes with a live migration fired in between."""
-    from repro.plan.cache import PlanCache
+) -> Optional[str]:
+    """Answers after the kill already faced the shared checks; here the
+    dead site must have cost something. Pruning can legitimately skip
+    its fragment, so only a victim some healthy tcp plan routed to
+    counts."""
 
-    if partix.plan_cache is None:
-        # The version bump must also invalidate cached plans; give the
-        # middleware a cache so both passes plan through it.
-        partix.plan_cache = PlanCache()
-    catalog = partix.distribution_catalog
-    version_before = catalog.version
+    def tcp_results(results: PassResults) -> list[PartixResult]:
+        return [
+            result
+            for by_mode in results
+            for mode, result in by_mode.items()
+            if ExecutionMode.parse(mode).transport == "tcp"
+        ]
 
-    for index, query in case.active_queries:
-        _run_query(
-            partix, index, query, outcome, modes, indexes=indexes, shards=shards
-        )
-    first_pass = outcome.queries_run
-
-    report = _fire_migration(partix, case, outcome)
-    if report is None or not report.completed:
-        outcome.mismatches.append(
-            Mismatch(
-                kind="migrate",
-                detail="no migration could be performed on the case design",
-            )
-        )
-        return
-    if catalog.version == version_before:
-        outcome.mismatches.append(
-            Mismatch(
-                kind="migrate",
-                detail=(
-                    f"migration reported completion but the catalog version"
-                    f" stayed at {version_before}"
-                ),
-            )
-        )
-        return
-
-    for index, query in case.active_queries:
-        _run_query(
-            partix, index, query, outcome, modes, indexes=indexes, shards=shards
-        )
-    outcome.notes.append(
-        f"queries compared on catalog v{version_before}: {first_pass},"
-        f" on v{catalog.version}: {outcome.queries_run - first_pass}"
+    targeted = any(
+        result.plan is not None
+        and any(subquery.site == victim for subquery in result.plan.subqueries)
+        for result in tcp_results(first)
     )
-    stats = partix.plan_cache.stats()
-    outcome.notes.append(
-        f"plan cache across the migration: {stats}"
-    )
+    failovers = sum(result.failover_count for result in tcp_results(second))
+    outcome.notes.append(f"replica failovers observed: {failovers}")
+    if (
+        targeted
+        and failovers == 0
+        and partix.site_health is not None
+        and not partix.site_health.is_ejected(victim)
+    ):
+        return (
+            f"site {victim!r} was killed while hosting primary lanes, yet"
+            " no tcp sub-query failed over to its replica and the site was"
+            " never ejected"
+        )
+    return None
 
 
 def _fire_migration(partix: Partix, case: GeneratedCase, outcome: CaseOutcome):
     """Split the first splittable horizontal fragment onto the spare
-    site, else move the first fragment there. Returns the report, or
-    None when every migration attempt failed."""
+    site, else move the first fragment there. Returns the catalog version
+    before the migration and its report (None when every attempt
+    failed)."""
     from repro.errors import RebalanceError
     from repro.partix.fragments import HorizontalFragment
     from repro.rebalance import Rebalancer
@@ -434,6 +277,7 @@ def _fire_migration(partix: Partix, case: GeneratedCase, outcome: CaseOutcome):
     rebalancer = Rebalancer(partix)
     collection = case.collection.name
     catalog = partix.distribution_catalog
+    version = catalog.version
     for fragment in case.design.fragments:
         if not isinstance(fragment, HorizontalFragment):
             continue
@@ -451,31 +295,202 @@ def _fire_migration(partix: Partix, case: GeneratedCase, outcome: CaseOutcome):
             f" ∈ {report.split_values} → {report.new_fragments}"
             f" ({report.documents_moved} documents, spare site got one half)"
         )
-        return report
+        return version, report
     first = case.design.fragments[0].name
     try:
         report = rebalancer.move(collection, first, SPARE_SITE)
     except RebalanceError as error:
         outcome.notes.append(f"migration fallback failed: {error}")
-        return None
+        return version, None
     outcome.notes.append(
         f"migration: moved {first!r} to the spare site"
         f" ({report.documents_moved} documents)"
     )
-    return report
+    return version, report
+
+
+def _require_version_bump(
+    partix: Partix,
+    fired: tuple,
+    first: PassResults,
+    second: PassResults,
+    outcome: CaseOutcome,
+) -> Optional[str]:
+    version_before, report = fired
+    if report is None or not report.completed:
+        return "no migration could be performed on the case design"
+    version = partix.distribution_catalog.version
+    if version == version_before:
+        return (
+            "migration reported completion but the catalog version stayed"
+            f" at {version_before}"
+        )
+    outcome.notes.append(
+        f"plan cache across the migration (v{version_before} →"
+        f" v{version}): {partix.plan_cache.stats()}"
+    )
+    return None
+
+
+#: The oracle table; ``run_case(oracle=NAME)`` runs one row.
+ORACLES: dict[str, Oracle] = {
+    "default": Oracle(),
+    "indexes": Oracle(
+        kind="index",
+        reruns=({"use_indexes": True}, {"use_indexes": False}),
+    ),
+    "shards": Oracle(
+        kind="shard",
+        reruns=({"shard_degree": 1}, {"shard_degree": 2}),
+        shard_workers=2,
+    ),
+    "kill-site": Oracle(
+        kind="failover",
+        mirror=True,
+        needs_tcp=True,
+        step=_kill_victim,
+        check=_require_failover,
+    ),
+    "migrate": Oracle(
+        kind="migrate",
+        spare=True,
+        step=_fire_migration,
+        check=_require_version_bump,
+    ),
+}
+
+
+def oracle_for(name: str, modes: Sequence[str]) -> Oracle:
+    """The :data:`ORACLES` row ``name``; raises ``ValueError`` when the
+    name is unknown or ``modes`` cannot run it."""
+    if name not in ORACLES:
+        raise ValueError(
+            f"unknown oracle {name!r}; choose one of {', '.join(ORACLES)}"
+        )
+    unknown = [mode for mode in modes if mode not in ALL_EXECUTION_MODES]
+    if not modes or unknown:
+        raise ValueError(
+            f"modes must name at least one of {', '.join(ALL_EXECUTION_MODES)}"
+            + (f" (got {', '.join(unknown)})" if unknown else "")
+        )
+    oracle = ORACLES[name]
+    if oracle.needs_tcp and not any(mode.startswith("tcp") for mode in modes):
+        raise ValueError(
+            f"oracle {name!r} needs a tcp execution mode: killing a site"
+            " process only perturbs the networked transports"
+        )
+    return oracle
+
+
+def run_case(
+    spec: CaseSpec,
+    case: Optional[GeneratedCase] = None,
+    partix_factory: Optional[Callable[[Cluster], Partix]] = None,
+    modes: Sequence[str] = EXECUTION_MODES,
+    oracle: str = "default",
+) -> CaseOutcome:
+    """Generate (unless given) and differentially execute one case under
+    the :data:`ORACLES` row ``oracle``.
+
+    ``partix_factory`` lets tests swap in a middleware with a tampered
+    dispatcher — that is how the injected-bug acceptance test proves the
+    oracle actually bites. ``modes`` selects the fragmented execution
+    modes to compare; including ``"tcp"`` spawns real site-server
+    processes for the case (mirrored over the wire, reaped afterwards).
+    """
+    row = oracle_for(oracle, modes)
+    outcome = CaseOutcome(spec=spec, oracle=oracle, modes=tuple(modes))
+    if case is None:
+        case = generate_case(spec)
+    outcome.notes.extend(case.notes)
+
+    report = verify_fragmentation(case.design, case.collection)
+    if not report.ok:
+        for violation in report.violations:
+            outcome.add_mismatch("correctness", violation)
+        return outcome
+
+    cluster = Cluster.with_sites(
+        len(case.design), prefix="site", shard_workers=row.shard_workers
+    )
+    allocations = None
+    if row.mirror:
+        # Primaries keep the publisher's round-robin placement (fragment
+        # i on site i); the mirror site holds one replica of each.
+        cluster.add(Site(MIRROR_SITE, shard_workers=row.shard_workers))
+        allocations = [
+            FragmentAllocation(
+                fragment=fragment.name, site=site, stored_collection=fragment.name
+            )
+            for index, fragment in enumerate(case.design.fragments)
+            for site in (f"site{index}", MIRROR_SITE)
+        ]
+    partix = (
+        partix_factory(cluster) if partix_factory is not None else Partix(cluster)
+    )
+    partix.publish(
+        case.collection,
+        case.design,
+        allocations=allocations,
+        frag_mode=case.frag_mode,
+    )
+    if row.spare:
+        # Added *after* publish so the round-robin placement ignores it.
+        # The plan cache makes the migration's version bump also
+        # exercise cache invalidation.
+        cluster.add(Site(SPARE_SITE))
+        if partix.plan_cache is None:
+            partix.plan_cache = PlanCache()
+    cluster.add(Site(CENTRAL_SITE))
+    partix.publish_centralized(case.collection, CENTRAL_SITE)
+
+    parsed_modes = [ExecutionMode.parse(mode) for mode in modes]
+    try:
+        if any(mode.streaming for mode in parsed_modes):
+            # Adversarial chunking: see ADVERSARIAL_CHUNK_BYTES. Must be
+            # set before start_tcp so clients negotiate it.
+            partix.chunk_bytes = ADVERSARIAL_CHUNK_BYTES
+        if any(mode.transport == "tcp" for mode in parsed_modes):
+            partix.start_tcp()
+        _run_passes(partix, case, outcome, row)
+    finally:
+        partix.stop_tcp()
+    return outcome
+
+
+def _run_passes(
+    partix: Partix, case: GeneratedCase, outcome: CaseOutcome, oracle: Oracle
+) -> None:
+    """One pass over the case's queries; with a step, the step, a second
+    pass and the step's check."""
+
+    def one_pass() -> PassResults:
+        return [
+            _run_query(partix, index, query, outcome)
+            for index, query in case.active_queries
+        ]
+
+    first = one_pass()
+    if oracle.step is None:
+        return
+    first_count = outcome.queries_run
+    state = oracle.step(partix, case, outcome)
+    second = one_pass()
+    outcome.notes.append(
+        f"queries compared before the step: {first_count},"
+        f" after: {outcome.queries_run - first_count}"
+    )
+    detail = oracle.check(partix, state, first, second, outcome)
+    if detail is not None:
+        outcome.add_mismatch(oracle.kind, detail)
 
 
 def _run_query(
-    partix: Partix,
-    index: int,
-    query: str,
-    outcome: CaseOutcome,
-    modes: Sequence[str],
-    indexes: bool = False,
-    shards: bool = False,
+    partix: Partix, index: int, query: str, outcome: CaseOutcome
 ) -> dict[str, PartixResult]:
     """Run one query through every configuration; returns the successful
     fragmented results keyed by mode (empty on error paths)."""
+    modes = outcome.modes
     central_text, central_error = _attempt(
         lambda: partix.execute_centralized(query, CENTRAL_SITE).result_text
     )
@@ -487,27 +502,21 @@ def _run_query(
                 query, collection="Cfuzz", execution_mode=mode
             )
         )
-        text = result.result_text if result is not None else None
         if (error is None) != (central_error is None) or (
             error is not None
             and central_error is not None
             and type(error) is not type(central_error)
         ):
-            outcome.mismatches.append(
-                Mismatch(
-                    kind="error",
-                    detail=(
-                        f"asymmetric failure in mode {mode!r}:"
-                        f" centralized {central_error!r},"
-                        f" fragmented {error!r}"
-                    ),
-                    query_index=index,
-                    query=query,
-                )
+            outcome.add_mismatch(
+                "error",
+                f"asymmetric failure in mode {mode!r}:"
+                f" centralized {central_error!r}, fragmented {error!r}",
+                index,
+                query,
             )
             return {}
-        if text is not None:
-            by_mode[mode] = text
+        if result is not None:
+            by_mode[mode] = result.result_text
             results_by_mode[mode] = result
 
     if central_error is not None:
@@ -530,16 +539,12 @@ def _run_query(
     for mode in modes[1:]:
         outcome.comparisons += 1
         if by_mode[mode] != simulated:
-            outcome.mismatches.append(
-                Mismatch(
-                    kind="mode",
-                    detail=(
-                        f"{reference_mode} vs {mode} answers differ;"
-                        f" {_diff_snippet(simulated, by_mode[mode])}"
-                    ),
-                    query_index=index,
-                    query=query,
-                )
+            outcome.add_mismatch(
+                "mode",
+                f"{reference_mode} vs {mode} answers differ;"
+                f" {_diff_snippet(simulated, by_mode[mode])}",
+                index,
+                query,
             )
 
     outcome.comparisons += 1
@@ -553,149 +558,55 @@ def _run_query(
         matches = _signature(simulated) == _signature(central_text)
     if not matches:
         policy = "byte-identical" if byte_strict else "line-multiset"
-        outcome.mismatches.append(
-            Mismatch(
-                kind="answer",
-                detail=(
-                    f"centralized vs fragmented ({policy},"
-                    f" composition={plan.composition.kind},"
-                    f" subqueries={len(plan.subqueries)});"
-                    f" {_diff_snippet(central_text, simulated)}"
-                ),
-                query_index=index,
-                query=query,
-            )
+        outcome.add_mismatch(
+            "answer",
+            f"centralized vs fragmented ({policy},"
+            f" composition={plan.composition.kind},"
+            f" subqueries={len(plan.subqueries)});"
+            f" {_diff_snippet(central_text, simulated)}",
+            index,
+            query,
         )
-    if indexes:
-        _check_index_differential(
-            partix, query, by_mode, outcome, index, modes
-        )
-    if shards:
-        _check_shard_differential(
-            partix, query, by_mode, outcome, index, modes
-        )
+    _check_reruns(partix, query, by_mode, outcome, index)
     return results_by_mode
 
 
-def _check_index_differential(
+def _check_reruns(
     partix: Partix,
     query: str,
-    by_mode: dict,
+    by_mode: dict[str, str],
     outcome: CaseOutcome,
     index: int,
-    modes: Sequence[str],
 ) -> None:
-    """The index-pushdown oracle: per mode, the same query re-run with
-    the per-query index override forced on and forced off must both
-    reproduce the default run's answer byte-for-byte. The override
-    leaves the plan (and so the lane order) untouched — only each
-    site's access path flips — so even multi-fragment concat answers
-    may not differ by a byte. An index probe returning an unsound
-    candidate set (one that drops a matching document) shows up here as
-    a mismatch of kind ``index``.
-    """
-    for mode in modes:
-        if mode not in by_mode:
-            continue
-        default_text = by_mode[mode]
-        for forced in (True, False):
+    """Per mode, the query re-run with each of the oracle's ``reruns``
+    must reproduce the default run's answer byte-for-byte. The reruns
+    (forcing indexes on/off, or the shard degree serial/sharded) only
+    change how each site evaluates its own lane, so an unsound index
+    probe or a shard fold that reorders, double-counts or loses partials
+    shows up here under the oracle's kind."""
+    oracle = ORACLES[outcome.oracle]
+    for mode, default_text in by_mode.items():
+        for kwargs in oracle.reruns:
             text, error = _attempt(
-                lambda mode=mode, forced=forced: partix.execute(
-                    query,
-                    collection="Cfuzz",
-                    execution_mode=mode,
-                    use_indexes=forced,
+                lambda: partix.execute(
+                    query, collection="Cfuzz", execution_mode=mode, **kwargs
                 ).result_text
             )
             outcome.comparisons += 1
-            label = "on" if forced else "off"
+            forced = ", ".join(f"{key}={value!r}" for key, value in kwargs.items())
             if error is not None:
-                outcome.mismatches.append(
-                    Mismatch(
-                        kind="index",
-                        detail=(
-                            f"mode {mode!r} with indexes forced {label}"
-                            f" raised {error!r} although the default run"
-                            " answered"
-                        ),
-                        query_index=index,
-                        query=query,
-                    )
+                detail = (
+                    f"mode {mode!r} with {forced} raised {error!r} although"
+                    " the default run answered"
                 )
             elif text != default_text:
-                outcome.mismatches.append(
-                    Mismatch(
-                        kind="index",
-                        detail=(
-                            f"mode {mode!r} answers differ with indexes"
-                            f" forced {label};"
-                            f" {_diff_snippet(default_text, text)}"
-                        ),
-                        query_index=index,
-                        query=query,
-                    )
+                detail = (
+                    f"mode {mode!r} answers differ with {forced};"
+                    f" {_diff_snippet(default_text, text)}"
                 )
-
-
-def _check_shard_differential(
-    partix: Partix,
-    query: str,
-    by_mode: dict,
-    outcome: CaseOutcome,
-    index: int,
-    modes: Sequence[str],
-) -> None:
-    """The intra-site parallelism oracle: per mode, the same query
-    re-run with the per-lane shard degree forced serial (``1``) and
-    forced sharded (``2``) must both reproduce the default run's answer
-    byte-for-byte. Forcing the degree only changes how each site
-    evaluates its own lane — candidate slices in worker processes with
-    the partials folded back in slice order — so the plan, the lane
-    order, and every byte of the composed answer must be untouched. A
-    fold that reorders partials, double-counts an aggregate, or loses a
-    shard shows up here as a mismatch of kind ``shard``.
-    """
-    for mode in modes:
-        if mode not in by_mode:
-            continue
-        default_text = by_mode[mode]
-        for degree in (1, 2):
-            text, error = _attempt(
-                lambda mode=mode, degree=degree: partix.execute(
-                    query,
-                    collection="Cfuzz",
-                    execution_mode=mode,
-                    shard_degree=degree,
-                ).result_text
-            )
-            outcome.comparisons += 1
-            label = "serial" if degree == 1 else f"degree {degree}"
-            if error is not None:
-                outcome.mismatches.append(
-                    Mismatch(
-                        kind="shard",
-                        detail=(
-                            f"mode {mode!r} with shards forced {label}"
-                            f" raised {error!r} although the default run"
-                            " answered"
-                        ),
-                        query_index=index,
-                        query=query,
-                    )
-                )
-            elif text != default_text:
-                outcome.mismatches.append(
-                    Mismatch(
-                        kind="shard",
-                        detail=(
-                            f"mode {mode!r} answers differ with shards"
-                            f" forced {label};"
-                            f" {_diff_snippet(default_text, text)}"
-                        ),
-                        query_index=index,
-                        query=query,
-                    )
-                )
+            else:
+                continue
+            outcome.add_mismatch(oracle.kind, detail, index, query)
 
 
 def _check_plan_equivalence(
@@ -712,31 +623,23 @@ def _check_plan_equivalence(
     plan must survive ``to_dict`` → JSON → ``plan_from_dict``.
     """
     rendered = plan.render()
-    replanned = partix.explain(query, "Cfuzz")
-    if replanned.render() != rendered:
-        outcome.mismatches.append(
-            Mismatch(
-                kind="plan",
-                detail=(
-                    "planning is nondeterministic: two explain calls"
-                    f" rendered different plans; {_diff_snippet(rendered, replanned.render())}"
-                ),
-                query_index=index,
-                query=query,
-            )
+    replanned = partix.explain(query, "Cfuzz").render()
+    if replanned != rendered:
+        outcome.add_mismatch(
+            "plan",
+            "planning is nondeterministic: two explain calls rendered"
+            f" different plans; {_diff_snippet(rendered, replanned)}",
+            index,
+            query,
         )
-    roundtripped = plan_from_dict(json.loads(json.dumps(plan.to_dict())))
-    if roundtripped.render() != rendered:
-        outcome.mismatches.append(
-            Mismatch(
-                kind="plan",
-                detail=(
-                    "explain does not round-trip through its serialized"
-                    f" form; {_diff_snippet(rendered, roundtripped.render())}"
-                ),
-                query_index=index,
-                query=query,
-            )
+    roundtripped = plan_from_dict(json.loads(json.dumps(plan.to_dict()))).render()
+    if roundtripped != rendered:
+        outcome.add_mismatch(
+            "plan",
+            "explain does not round-trip through its serialized form;"
+            f" {_diff_snippet(rendered, roundtripped)}",
+            index,
+            query,
         )
 
 
@@ -787,16 +690,12 @@ def _check_plan_order(
             ],
         ).result_text
         if result.result_text != expected:
-            outcome.mismatches.append(
-                Mismatch(
-                    kind="mode",
-                    detail=(
-                        f"mode {mode!r} composed answer does not follow"
-                        f" plan order; {_diff_snippet(expected, result.result_text)}"
-                    ),
-                    query_index=index,
-                    query=query,
-                )
+            outcome.add_mismatch(
+                "mode",
+                f"mode {mode!r} composed answer does not follow plan order;"
+                f" {_diff_snippet(expected, result.result_text)}",
+                index,
+                query,
             )
 
 
@@ -815,29 +714,20 @@ def run_fuzz(
     partix_factory: Optional[Callable[[Cluster], Partix]] = None,
     max_failures: int = 5,
     modes: Sequence[str] = EXECUTION_MODES,
-    kill_site: bool = False,
-    migrate: bool = False,
-    indexes: bool = False,
-    shards: bool = False,
+    oracle: str = "default",
 ) -> dict:
-    """Run the full differential session; returns a JSON-able summary.
+    """Run the full differential session under one :data:`ORACLES` row;
+    returns a JSON-able summary.
 
     Stops early once ``max_failures`` distinct failing cases have been
     collected (each one is expensive: it triggers minimization and a
-    written reproducer when ``repro_dir`` is set). ``kill_site`` runs
-    every case through the failover oracle, ``migrate`` through the
-    online-rebalancing oracle, ``indexes`` through the index-pushdown
-    oracle, ``shards`` through the intra-site parallelism oracle (see
-    :func:`run_case`).
+    written reproducer when ``repro_dir`` is set).
     """
     summary: dict = {
         "seed": seed,
         "iterations": iterations,
         "execution_modes": list(modes),
-        "kill_site": kill_site,
-        "migrate": migrate,
-        "indexes": indexes,
-        "shards": shards,
+        "oracle": oracle,
         "migrations_completed": 0,
         "cases": 0,
         "queries_run": 0,
@@ -853,17 +743,9 @@ def run_fuzz(
     for iteration in range(iterations):
         spec = spec_for_iteration(seed, iteration)
         outcome = run_case(
-            spec,
-            partix_factory=partix_factory,
-            modes=modes,
-            kill_site=kill_site,
-            migrate=migrate,
-            indexes=indexes,
-            shards=shards,
+            spec, partix_factory=partix_factory, modes=modes, oracle=oracle
         )
-        if migrate and not any(
-            m.kind == "migrate" for m in outcome.mismatches
-        ):
+        if oracle == "migrate" and "migrate" not in outcome.mismatch_kinds():
             summary["migrations_completed"] += 1
         summary["cases"] += 1
         summary["queries_run"] += outcome.queries_run
@@ -879,16 +761,7 @@ def run_fuzz(
             from repro.fuzz.minimize import minimize_spec, write_repro
 
             minimized = (
-                minimize_spec(
-                    spec,
-                    outcome,
-                    partix_factory=partix_factory,
-                    modes=modes,
-                    kill_site=kill_site,
-                    migrate=migrate,
-                    indexes=indexes,
-                    shards=shards,
-                )
+                minimize_spec(spec, outcome, partix_factory=partix_factory)
                 if minimize
                 else outcome
             )

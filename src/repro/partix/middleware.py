@@ -408,7 +408,7 @@ class Partix:
         ≥ 2 asks every executing site to shard its sub-query across that
         many workers, 1 (or less) forces serial evaluation everywhere.
         ``None`` leaves lowering's per-lane degree decisions in charge.
-        The fuzz ``--shards`` oracle runs the same plan forced-serial and
+        The fuzz ``shards`` oracle runs the same plan forced-serial and
         forced-sharded and asserts byte-identical answers.
         """
         mode = ExecutionMode.parse(execution_mode, streaming=streaming)

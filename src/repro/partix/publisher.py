@@ -116,7 +116,11 @@ class DataPublisher:
         and only then is the catalog registration swapped — queries
         planned concurrently keep seeing (and finding the data of) the
         old design until the new one is complete, then the catalog
-        version bump invalidates cached plans.
+        version bump invalidates cached plans. The new allocations must
+        therefore not target a ``(site, stored_collection)`` the live
+        design routes to (the default allocations of the same design
+        do): that would rewrite fragments under concurrent readers, so it
+        raises :class:`CatalogError` before any data moves.
         """
         if require_homogeneous and not collection.is_homogeneous():
             raise FragmentationError(
@@ -152,6 +156,20 @@ class DataPublisher:
             raise CatalogError(
                 f"collection {collection.name!r} already has a fragmentation"
             )
+        if replace and self.catalog.is_fragmented(collection.name):
+            live = {
+                (a.site, a.stored_collection)
+                for a in self.catalog.allocations(collection.name)
+            }
+            clashes = sorted(
+                live & {(a.site, a.stored_collection) for a in allocations}
+            )
+            if clashes:
+                raise CatalogError(
+                    f"republishing {collection.name!r} would overwrite stored"
+                    f" collections the live design routes to: {clashes};"
+                    " allocate the new design under fresh stored names"
+                )
         # Validate the allocation set *before* any data moves, then store
         # every fragment, then swap the registration in — a failed or
         # in-progress (re)publish never leaves the catalog pointing at

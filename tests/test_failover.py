@@ -223,7 +223,7 @@ class TestKillSiteFuzzMode:
         from repro.fuzz.runner import run_case
 
         spec = spec_for_iteration(20060807, 0)
-        outcome = run_case(spec, modes=("simulated", "tcp"), kill_site=True)
+        outcome = run_case(spec, modes=("simulated", "tcp"), oracle="kill-site")
         assert outcome.ok, [m.detail for m in outcome.mismatches]
         assert any("killed tcp site" in note for note in outcome.notes)
         failover_notes = [
@@ -241,5 +241,5 @@ class TestKillSiteFuzzMode:
             run_case(
                 spec_for_iteration(20060807, 0),
                 modes=("simulated",),
-                kill_site=True,
+                oracle="kill-site",
             )

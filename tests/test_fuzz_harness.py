@@ -2,9 +2,13 @@
 
 Three layers: the generator's determinism contracts, the oracle's
 green path, and — the part that proves the harness can actually bite —
-injected bugs: a composer-ordering bug that must be detected, minimized
-and written out as a runnable reproducer, and an index probe that loses
-a candidate document.
+one injected bug per mismatch kind: a composer-ordering bug (``mode`` /
+``answer``) that must be detected, minimized and written out as a
+runnable reproducer; an index probe that loses a candidate document
+(``index``); a shard fold that reverses its partials (``shard``, whose
+written reproducer must replay the ``shards`` oracle); a migration that
+never installs its design (``migrate``); and a site kill that kills
+nothing (``failover``).
 """
 
 import json
@@ -184,10 +188,102 @@ class TestInjectedIndexBug:
         )
         for iteration in range(40):
             spec = spec_for_iteration(2013, iteration)
-            outcome = run_case(spec, modes=("simulated",), indexes=True)
+            outcome = run_case(spec, modes=("simulated",), oracle="indexes")
             if "index" in outcome.mismatch_kinds():
                 return
         raise AssertionError("dropped index candidate never detected")
+
+
+def _reverse_shard_fold(monkeypatch):
+    """A shard fold that recombines the partials in reverse shard order —
+    the fold bug the ``shards`` oracle must catch."""
+    import repro.engine.database as database
+
+    original = database.fold_shard_results
+    monkeypatch.setattr(
+        database,
+        "fold_shard_results",
+        lambda script, results: original(script, results[::-1]),
+    )
+    return monkeypatch
+
+
+class TestInjectedShardBug:
+    def _first_failure(self):
+        for iteration in range(10):
+            spec = spec_for_iteration(2020, iteration)
+            outcome = run_case(spec, oracle="shards")
+            if "shard" in outcome.mismatch_kinds():
+                return spec, outcome
+        raise AssertionError("reversed shard fold never detected")
+
+    def test_shard_oracle_reports_reversed_fold(self, monkeypatch):
+        _reverse_shard_fold(monkeypatch)
+        _, outcome = self._first_failure()
+        assert outcome.oracle == "shards"
+
+    def test_written_reproducer_replays_the_shards_oracle(
+        self, monkeypatch, tmp_path
+    ):
+        _reverse_shard_fold(monkeypatch)
+        spec, outcome = self._first_failure()
+        minimized = minimize_spec(spec, outcome)
+        assert "shard" in minimized.mismatch_kinds()
+        assert (minimized.oracle, minimized.modes) == ("shards", outcome.modes)
+        path = write_repro(minimized, str(tmp_path))
+        body = Path(path).read_text()
+        assert "--oracle shards --modes simulated,threads --replay" in body
+        namespace = {}
+        exec(compile(body, path, "exec"), namespace)  # noqa: S102 — own artifact
+        test = next(v for k, v in namespace.items() if k.startswith("test_"))
+        with pytest.raises(AssertionError, match="shard"):
+            test()  # fails under the bug...
+        monkeypatch.undo()
+        test()  # ...and passes once the fold is fixed
+
+
+class TestInjectedMigrateBug:
+    def test_migrate_oracle_reports_a_swap_that_never_registers(
+        self, monkeypatch
+    ):
+        from repro.rebalance import Rebalancer
+
+        def swap_without_registering(self, design, fragments, allocations, report):
+            report.completed = True
+
+        monkeypatch.setattr(Rebalancer, "_swap", swap_without_registering)
+        outcome = run_case(spec_for_iteration(2006, 0), oracle="migrate")
+        assert "migrate" in outcome.mismatch_kinds()
+
+
+class TestInjectedFailoverBug:
+    def test_kill_site_oracle_reports_a_kill_that_kills_nothing(
+        self, monkeypatch
+    ):
+        from repro.net.bootstrap import TcpSiteCluster
+
+        monkeypatch.setattr(TcpSiteCluster, "kill", lambda self, name: None)
+        outcome = run_case(
+            spec_for_iteration(2006, 0),
+            modes=("simulated", "tcp"),
+            oracle="kill-site",
+        )
+        assert "failover" in outcome.mismatch_kinds()
+
+
+class TestMinimizer:
+    def test_crashing_shrink_is_rejected_and_noted(self):
+        spec, outcome = _find_injected_failure()
+
+        def crashing_partix(cluster):
+            raise RuntimeError("factory broke")
+
+        minimized = minimize_spec(
+            spec, outcome, partix_factory=crashing_partix, budget=2
+        )
+        assert minimized is outcome  # nothing smaller was accepted
+        crashes = [n for n in minimized.notes if "RuntimeError: factory broke" in n]
+        assert len(crashes) == 2
 
 
 class TestPlanOrderStability:
@@ -268,3 +364,15 @@ class TestCli:
         assert process.returncode == 0, process.stderr
         payload = json.loads(process.stdout)
         assert payload["ok"] is True
+        assert payload["oracle"] == "default"
+
+    def test_cli_rejects_kill_site_without_a_tcp_mode(self):
+        process = subprocess.run(
+            [sys.executable, "-m", "repro.fuzz", "--oracle", "kill-site"],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": "src"},
+            cwd=str(Path(__file__).resolve().parent.parent),
+        )
+        assert process.returncode == 2
+        assert "needs a tcp execution mode" in process.stderr

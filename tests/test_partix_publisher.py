@@ -254,3 +254,30 @@ class TestReplaceStoreThenSwap:
                 query, execution_mode="simulated"
             ).result_text
             assert after == expected
+
+    def test_republish_over_live_stored_collections_is_refused(
+        self, items_collection
+    ):
+        from repro.errors import CatalogError
+        from repro.partix.middleware import Partix
+
+        cluster = Cluster.with_sites(3)
+        partix = Partix(cluster)
+        partix.publish(items_collection, items_design())
+        catalog = partix.distribution_catalog
+        version = catalog.version
+        query = (
+            'for $i in collection("Citems")/Item'
+            ' where $i/Section = "CD" return $i'
+        )
+        baseline = partix.execute(query, execution_mode="simulated").result_text
+        # Any store would raise RuntimeError: the refusal must come first.
+        for site in cluster.sites():
+            site.driver = _QuotaDriver(site.driver, allow=0)
+        # The same design with default allocations reuses every
+        # (site, stored collection) pair the live design routes to.
+        with pytest.raises(CatalogError, match="fresh stored names"):
+            partix.publish(items_collection, items_design(), replace=True)
+        assert catalog.version == version
+        after = partix.execute(query, execution_mode="simulated").result_text
+        assert after == baseline

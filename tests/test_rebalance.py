@@ -1,6 +1,6 @@
 """The online-rebalancing battery: Rebalancer, QueryLog, WorkloadAdvisor.
 
-The core property mirrors the fuzz ``--migrate`` oracle: every
+The core property mirrors the fuzz ``migrate`` oracle: every
 migration — split, move, promote, replicate, merge — must preserve
 query answers across the catalog swap. Answers are byte-identical
 except where a split legitimately reorders a multi-fragment
